@@ -1,12 +1,15 @@
 #include "core/batch_settlement.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
+#include "recovery/crash_plan.hpp"
 #include "sim/rng_stream.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace tlc::core {
 
@@ -74,12 +77,73 @@ std::unique_ptr<TlcSession> make_batch_session(const BatchConfig& config,
       sim::stream_rng(config.rng_salt, stream));
 }
 
+std::deque<UeGroup> group_by_ue(const std::vector<SettlementItem>& items,
+                                std::vector<SettlementReceipt>& receipts) {
+  std::deque<UeGroup> groups;
+  std::unordered_map<std::uint64_t, std::size_t> group_by_id;
+  group_by_id.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto [it, inserted] =
+        group_by_id.try_emplace(items[i].ue_id, groups.size());
+    if (inserted) {
+      groups.emplace_back();
+      groups.back().ue_id = items[i].ue_id;
+    }
+    UeGroup* group = &groups[it->second];
+    group->item_indices.push_back(i);
+    receipts[i].ue_id = items[i].ue_id;
+    receipts[i].cycle =
+        static_cast<std::uint32_t>(group->item_indices.size() - 1);
+  }
+  return groups;
+}
+
+void run_groups(
+    const std::deque<UeGroup>& groups, unsigned threads,
+    const std::function<void(const UeGroup&, std::size_t)>& run_group) {
+  if (threads <= 1 || groups.size() <= 1) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      run_group(groups[g], g);
+    }
+    return;
+  }
+  const unsigned workers =
+      static_cast<unsigned>(std::min<std::size_t>(threads, groups.size()));
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  std::atomic<bool> crashed{false};
+  util::Mutex crash_mu;
+  std::optional<recovery::CrashException> kill;
+  std::optional<recovery::WedgeException> wedge;
+  for (unsigned w = 0; w < workers; ++w) {
+    pool.emplace_back([&, w] {
+      for (std::size_t g = w; g < groups.size(); g += workers) {
+        if (crashed.load(std::memory_order_relaxed)) return;
+        try {
+          run_group(groups[g], g);
+        } catch (const recovery::CrashException& e) {
+          crashed.store(true, std::memory_order_relaxed);
+          util::MutexLock lock(crash_mu);
+          if (!kill.has_value()) kill = e;
+          return;
+        } catch (const recovery::WedgeException& e) {
+          crashed.store(true, std::memory_order_relaxed);
+          util::MutexLock lock(crash_mu);
+          if (!wedge.has_value()) wedge = e;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  if (kill.has_value()) throw *kill;
+  if (wedge.has_value()) throw *wedge;
+}
+
 namespace {
 
-/// One UE's items and reused session pair.
+/// One UE's reused session pair and its in-flight wire.
 struct Group {
-  std::uint64_t ue_id = 0;
-  std::vector<std::size_t> item_indices;  // into the input vector
   std::unique_ptr<TlcSession> edge;
   std::unique_ptr<TlcSession> op;
   // Pending wire messages: (to_edge, bytes), FIFO per group.
@@ -137,9 +201,10 @@ void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
 }
 
 /// All cycles of one group, local FIFO pump (the thread-worker path).
-void run_group(Group& group, const std::vector<SettlementItem>& items,
+void run_group(Group& group, const UeGroup& ue_group,
+               const std::vector<SettlementItem>& items,
                std::vector<SettlementReceipt>& receipts) {
-  for (std::size_t item_index : group.item_indices) {
+  for (std::size_t item_index : ue_group.item_indices) {
     if (!begin_group_cycle(group, items[item_index])) {
       poison(group, "cycle could not start");
       receipts[item_index].failure_reason = group.poison_reason;
@@ -159,32 +224,14 @@ std::vector<SettlementReceipt> BatchSettler::settle(
     const std::vector<SettlementItem>& items, unsigned threads) const {
   std::vector<SettlementReceipt> receipts(items.size());
 
-  // Group items by UE in first-appearance order; per-UE item order is
-  // input order (item n of a UE = its cycle n). A deque keeps Group
-  // addresses stable for the send closures below; the side index makes
-  // grouping O(n) — deque order alone fixes the output, so the
-  // unordered lookup cannot leak into results.
-  std::deque<Group> groups;
-  std::unordered_map<std::uint64_t, std::size_t> group_by_ue;
-  group_by_ue.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto [it, inserted] =
-        group_by_ue.try_emplace(items[i].ue_id, groups.size());
-    if (inserted) {
-      groups.emplace_back();
-      groups.back().ue_id = items[i].ue_id;
-    }
-    Group* group = &groups[it->second];
-    group->item_indices.push_back(i);
-    receipts[i].ue_id = items[i].ue_id;
-    receipts[i].cycle =
-        static_cast<std::uint32_t>(group->item_indices.size() - 1);
-  }
-  for (Group& group : groups) {
-    group.edge =
-        make_batch_session(config_, keys_, group.ue_id, PartyRole::EdgeVendor);
-    group.op =
-        make_batch_session(config_, keys_, group.ue_id, PartyRole::Operator);
+  const std::deque<UeGroup> ue_groups = group_by_ue(items, receipts);
+  // Sized once, so Group addresses stay stable for the send closures.
+  std::vector<Group> groups(ue_groups.size());
+  for (std::size_t g = 0; g < ue_groups.size(); ++g) {
+    Group& group = groups[g];
+    const std::uint64_t ue = ue_groups[g].ue_id;
+    group.edge = make_batch_session(config_, keys_, ue, PartyRole::EdgeVendor);
+    group.op = make_batch_session(config_, keys_, ue, PartyRole::Operator);
     Group* raw = &group;
     group.edge->set_send(
         [raw](const Bytes& m) { raw->wire.emplace_back(false, m); });
@@ -198,20 +245,20 @@ std::vector<SettlementReceipt> BatchSettler::settle(
     // order chosen by the hook — cross-session reordering with
     // per-session FIFO intact.
     std::size_t max_cycles = 0;
-    for (const Group& group : groups) {
-      max_cycles = std::max(max_cycles, group.item_indices.size());
+    for (const UeGroup& ue_group : ue_groups) {
+      max_cycles = std::max(max_cycles, ue_group.item_indices.size());
     }
     for (std::size_t cycle = 0; cycle < max_cycles; ++cycle) {
       std::vector<std::size_t> active;
       for (std::size_t g = 0; g < groups.size(); ++g) {
         Group& group = groups[g];
-        if (cycle >= group.item_indices.size()) continue;
-        if (begin_group_cycle(group, items[group.item_indices[cycle]])) {
+        const std::vector<std::size_t>& indices = ue_groups[g].item_indices;
+        if (cycle >= indices.size()) continue;
+        if (begin_group_cycle(group, items[indices[cycle]])) {
           active.push_back(g);
         } else {
           poison(group, "cycle could not start");
-          receipts[group.item_indices[cycle]].failure_reason =
-              group.poison_reason;
+          receipts[indices[cycle]].failure_reason = group.poison_reason;
         }
       }
       for (;;) {
@@ -230,32 +277,16 @@ std::vector<SettlementReceipt> BatchSettler::settle(
         }
       }
       for (std::size_t g : active) {
-        finish_group_cycle(groups[g], receipts[groups[g].item_indices[cycle]]);
+        finish_group_cycle(groups[g],
+                           receipts[ue_groups[g].item_indices[cycle]]);
       }
     }
     return receipts;
   }
 
-  if (threads <= 1 || groups.size() <= 1) {
-    for (Group& group : groups) run_group(group, items, receipts);
-    return receipts;
-  }
-
-  // Static round-robin partition of groups over a fixed worker set:
-  // each group is fully local to one worker and writes only its own
-  // receipt slots, so results never depend on the worker count.
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, groups.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      for (std::size_t g = w; g < groups.size(); g += workers) {
-        run_group(groups[g], items, receipts);
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
+  run_groups(ue_groups, threads, [&](const UeGroup& ue_group, std::size_t g) {
+    run_group(groups[g], ue_group, items, receipts);
+  });
   return receipts;
 }
 

@@ -16,9 +16,13 @@
 // out over worker threads — receipts are bit-identical for every thread
 // count, and (single-threaded) the cross-session message pump can be
 // reordered arbitrarily between sessions without changing any receipt.
+// The grouping and the worker fan-out (`group_by_ue`, `run_groups`)
+// are the one scaffold every settler runs on, the transport settlers
+// included.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -106,6 +110,36 @@ struct BatchConfig {
     const BatchConfig& config, const RsaKeyCache& keys, std::uint64_t ue_id,
     PartyRole role, bool tolerate_faults = false);
 
+/// One UE's slice of a settlement batch: its item indices, in input
+/// order (item n of a UE = its cycle n).
+struct UeGroup {
+  std::uint64_t ue_id = 0;
+  std::vector<std::size_t> item_indices;  // into the input vector
+};
+
+/// Groups items by UE in first-appearance order and pre-fills each
+/// receipt slot's (ue_id, cycle). The side index makes grouping O(n);
+/// deque order alone fixes the output.
+[[nodiscard]] std::deque<UeGroup> group_by_ue(
+    const std::vector<SettlementItem>& items,
+    std::vector<SettlementReceipt>& receipts);
+
+/// The per-UE-group execution scaffold every settler runs on: calls
+/// `run_group(group, group_index)` for every group. With more than one
+/// thread, groups land on workers in a static round-robin partition:
+/// each group is fully local to one worker and writes only its own
+/// slots, so results never depend on the worker count. Injected
+/// crashes must not escape a worker thread (std::terminate) — each
+/// worker catches, the rest drain at their next group, and the first
+/// crash is rethrown from the calling thread after join. CrashPlan's
+/// dying-state replication makes "first" deterministic.
+void run_groups(
+    const std::deque<UeGroup>& groups, unsigned threads,
+    const std::function<void(const UeGroup&, std::size_t)>& run_group);
+
+/// In-process settlement: both parties' sessions exchange messages
+/// through a local FIFO per UE. A cycle that fails to negotiate
+/// poisons its UE: the UE's remaining cycles are left incomplete.
 class BatchSettler {
  public:
   /// Test hook: permutes which session delivers its next pending
@@ -122,9 +156,9 @@ class BatchSettler {
   }
 
   /// Settles every item. `threads` > 1 distributes UE groups over that
-  /// many workers (each group stays sequential internally). Receipts
-  /// come back in input order and are identical for every thread count
-  /// and every cross-session interleaving.
+  /// many workers via run_groups (each group stays sequential
+  /// internally). Receipts come back in input order and are identical
+  /// for every thread count and every cross-session interleaving.
   [[nodiscard]] std::vector<SettlementReceipt> settle(
       const std::vector<SettlementItem>& items, unsigned threads = 1) const;
 

@@ -14,7 +14,6 @@
 #include "fleet/thread_pool.hpp"
 #include "sim/rng_stream.hpp"
 #include "transport/coded_session.hpp"
-#include "transport/lossy_settlement.hpp"
 
 namespace tlc::fleet {
 namespace {
@@ -201,6 +200,36 @@ std::vector<core::SettlementItem> settlement_items(
   return items;
 }
 
+transport::LossyBatchReport settle_batch(
+    const FleetConfig& config, const core::BatchConfig& batch,
+    const core::RsaKeyCache& keys,
+    const std::vector<core::SettlementItem>& items, unsigned threads,
+    recovery::CrashPlan* plan) {
+  if (config.lossy_transport &&
+      config.transport.coding == transport::Coding::Rlnc) {
+    transport::CodedSettler settler(batch, config.transport, keys);
+    settler.set_crash_plan(plan);
+    return settler.settle(items, threads);
+  }
+  if (config.lossy_transport) {
+    transport::LossySettler settler(batch, config.transport, keys);
+    settler.set_crash_plan(plan);
+    return settler.settle(items, threads);
+  }
+  if (plan != nullptr) {
+    std::uint64_t last_ue = ~0ULL;
+    for (const core::SettlementItem& item : items) {
+      if (item.ue_id == last_ue) continue;
+      last_ue = item.ue_id;
+      plan->fire(recovery::kCrashSettleCycle, item.ue_id);
+    }
+  }
+  transport::LossyBatchReport report;
+  report.receipts = core::BatchSettler(batch, keys).settle(items, threads);
+  transport::fill_census(report);
+  return report;
+}
+
 charging::DataPlan fleet_plan(const FleetConfig& config) {
   charging::DataPlan plan;
   plan.lost_data_weight_c = config.base.plan_c;
@@ -367,23 +396,11 @@ FleetResult run_fleet(const FleetConfig& config) {
         slot->records = detail::run_shard_slice(config, slice);
         detail::collect_gap_samples(slot->records, slot->gap_samples);
         if (key_cache != nullptr) {
-          const std::vector<core::SettlementItem> items =
-              detail::settlement_items(slot->records, config);
-          if (config.lossy_transport &&
-              config.transport.coding == transport::Coding::Rlnc) {
-            transport::CodedSettler settler(batch, config.transport,
-                                            *key_cache);
-            transport::LossyBatchReport report = settler.settle(items, 1);
-            slot->receipts = std::move(report.receipts);
-            slot->coded = report.coded;
-          } else if (config.lossy_transport) {
-            transport::LossySettler settler(batch, config.transport,
-                                            *key_cache);
-            slot->receipts = settler.settle(items, 1).receipts;
-          } else {
-            core::BatchSettler settler(batch, *key_cache);
-            slot->receipts = settler.settle(items, 1);
-          }
+          transport::LossyBatchReport report = detail::settle_batch(
+              config, batch, *key_cache,
+              detail::settlement_items(slot->records, config), 1, nullptr);
+          slot->receipts = std::move(report.receipts);
+          slot->coded = report.coded;
         }
       });
     }

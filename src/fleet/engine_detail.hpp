@@ -8,12 +8,19 @@
 // run's splice-and-resume provably bit-identical to the plain run —
 // the supervisor only ever substitutes a helper's output with that
 // same output recovered from disk.
+//
+// Settlement has exactly one dispatch, `settle_batch`: it picks the
+// in-process, stop-and-wait or RLNC-coded settler from the config. The
+// engine calls it once per shard job with no crash plan; the
+// supervisor calls it once per journal chunk with its plan.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "fleet/engine.hpp"
+#include "recovery/crash_plan.hpp"
+#include "transport/lossy_settlement.hpp"
 
 namespace tlc::fleet::detail {
 
@@ -59,6 +66,20 @@ void collect_gap_samples(const std::vector<UeRecord>& records,
 [[nodiscard]] std::vector<core::SettlementItem> settlement_items(
     const std::vector<UeRecord>& records, const FleetConfig& config);
 
+/// Settles `items` on `threads` workers with the settler `config`
+/// selects: transport::CodedSettler for a lossy transport coded with
+/// RLNC, transport::LossySettler for any other lossy transport, else
+/// core::BatchSettler. `plan` (nullable) is wired into the transport
+/// settlers, which fire the settle-cycle point per (UE, cycle); the
+/// in-process settler has no crash hook, so here the point fires once
+/// per UE group before it settles. `coded` is all-zero off the coded
+/// path.
+[[nodiscard]] transport::LossyBatchReport settle_batch(
+    const FleetConfig& config, const core::BatchConfig& batch,
+    const core::RsaKeyCache& keys,
+    const std::vector<core::SettlementItem>& items, unsigned threads,
+    recovery::CrashPlan* plan);
+
 /// OFCS aggregation: feeds the settlement census, installs the TLC
 /// charge hook over `result.receipts`, ingests the synthetic gateway
 /// CDRs and closes every cycle; fills bills/totals/settlement fields
@@ -75,7 +96,8 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
 /// The data plan the fleet OFCS rates against.
 [[nodiscard]] charging::DataPlan fleet_plan(const FleetConfig& config);
 
-/// Fills the three SHA-256 digests from the result's own fields.
+/// Fills the five SHA-256 digests (measurement, CDF, PoC, anomaly,
+/// ingest) from the result's own fields.
 void compute_digests(FleetResult& result);
 
 }  // namespace tlc::fleet::detail

@@ -4,18 +4,9 @@
 #include <cassert>
 
 #include "sim/rng_stream.hpp"
-#include "workloads/background.hpp"
-#include "workloads/gaming.hpp"
-#include "workloads/trace.hpp"
-#include "workloads/vr_gvsp.hpp"
-#include "workloads/webcam.hpp"
 
 namespace tlc::fleet {
 namespace {
-
-// Mirrors testbed::Testbed's cycle bookkeeping.
-constexpr SimTime kBoundaryGrace = 50 * kSecond;
-constexpr SimTime kCounterCheckLead = 120 * kMillisecond;
 
 // Shard seed-stream layout (indices into the shard's StreamSeeder).
 // Each UE owns two streams: profile draws and its world seed.
@@ -40,18 +31,6 @@ constexpr std::uint32_t kAdversaryFlowBase = 1u << 20;
 constexpr std::uint64_t kFleetImsiBase = 310170000000000ull;
 constexpr std::uint64_t kShardBackgroundImsiBase = 460110000000000ull;
 
-SimTime draw_clamped_offset(const charging::ClockModel& model, Rng& rng,
-                            SimTime max_abs) {
-  const SimTime offset = model.draw_offset(rng);
-  return std::clamp<SimTime>(offset, -max_abs, max_abs);
-}
-
-// Largest clock-skew offset a boundary can land past its nominal time
-// (the clamp applied in schedule_ue_boundaries).
-SimTime max_boundary_offset(SimTime cycle_length) {
-  return std::min<SimTime>(kBoundaryGrace - 5 * kSecond, cycle_length / 2);
-}
-
 // How far the shard must simulate past the last nominal boundary: the
 // worst-case skewed boundary plus a margin for counter-check exchanges
 // and in-flight deliveries. Everything recorded — sampler snapshots,
@@ -60,8 +39,9 @@ SimTime max_boundary_offset(SimTime cycle_length) {
 // pure wasted work (it dominated short-cycle configs: a 2 s × 2 fleet
 // spent 50 of 54 simulated seconds on traffic nothing ever read).
 SimTime run_tail(SimTime cycle_length) {
-  return std::min<SimTime>(kBoundaryGrace,
-                           max_boundary_offset(cycle_length) + kSecond);
+  return std::min<SimTime>(
+      testbed::kBoundaryGrace,
+      testbed::max_boundary_offset(cycle_length) + kSecond);
 }
 
 }  // namespace
@@ -77,25 +57,8 @@ struct FleetShard::UeCtx {
   /// §13 bypass overlay riding on top of the normal app (nullptr for
   /// honest members).
   std::unique_ptr<workloads::TrafficSource> adversary_source;
-
-  charging::RrcCounterMonitor rrc_ul{
-      charging::RrcCounterMonitor::Track::Uplink};
-  charging::RrcCounterMonitor rrc_dl{
-      charging::RrcCounterMonitor::Track::Downlink};
-  std::vector<std::unique_ptr<charging::UsageMonitor>> monitors;
-  std::unique_ptr<charging::CycleSampler> true_sent;
-  std::unique_ptr<charging::CycleSampler> true_received;
-  std::unique_ptr<charging::CycleSampler> edge_sent;
-  std::unique_ptr<charging::CycleSampler> edge_received;
-  std::unique_ptr<charging::CycleSampler> op_sent;
-  std::unique_ptr<charging::CycleSampler> op_received;
-  std::unique_ptr<charging::CycleSampler> gateway;
-  /// Uncharged-volume sampler (gateway's §13 leak counter at the
-  /// operator's boundary). Built only when the config has adversaries,
-  /// so honest fleets schedule no extra events and draw no extra forks.
-  std::unique_ptr<charging::CycleSampler> uncharged;
-  Rng edge_clock_rng{0};
-  Rng op_clock_rng{0};
+  /// Counting points and cycle samplers (§5.4).
+  std::unique_ptr<testbed::UeMeter> meter;
 };
 
 FleetShard::~FleetShard() = default;
@@ -127,8 +90,7 @@ FleetShard::FleetShard(const FleetConfig& config, int shard_index,
                SimTime at) {
           auto it = by_imsi_.find(imsi);
           if (it == by_imsi_.end()) return;
-          it->second->rrc_ul.on_report(ul, dl, at);
-          it->second->rrc_dl.on_report(ul, dl, at);
+          it->second->meter->on_counter_check(ul, dl, at);
         });
   }
 
@@ -208,7 +170,6 @@ void FleetShard::build_ue(std::uint64_t ue_index,
   ue.scenario = testbed::lift_scenario(config_.base, member);
   ue.rng = Rng(member.seed);
 
-  // Radio + device, mirroring Testbed's construction order.
   sim::RadioParams radio_params;
   radio_params.mean_rss_dbm = ue.scenario.mean_rss_dbm;
   radio_params.disconnect_ratio = ue.scenario.disconnect_ratio;
@@ -227,47 +188,9 @@ void FleetShard::build_ue(std::uint64_t ue_index,
   // member flow, which is what lets it spot free-riders replaying one.
   spgw_->bind_flow(ue.flow_id, ue.record.imsi);
 
-  // Workload source.
-  const sim::Direction direction = testbed::app_direction(member.app);
-  const sim::Qci qci = pcrf_.qci_for(ue.flow_id);
-  UeCtx* raw = &ue;
-  workloads::TrafficSource::EmitFn sink;
-  if (direction == sim::Direction::Uplink) {
-    sink = [raw](const sim::Packet& p) { raw->device->app_send(p); };
-  } else {
-    sink = [this, raw](const sim::Packet& p) {
-      server_->app_send(raw->record.imsi, p);
-    };
-  }
-  if (ue.scenario.replay_trace) {
-    ue.source = std::make_unique<workloads::TraceReplaySource>(
-        sim_, sink, ue.flow_id, *ue.scenario.replay_trace, /*loop=*/true);
-  } else {
-    switch (member.app) {
-      case testbed::AppKind::WebcamRtsp:
-        ue.source = std::make_unique<workloads::WebcamSource>(
-            sim_, sink, ue.flow_id, direction, qci,
-            workloads::webcam_rtsp_params(), ue.rng.fork(), "WebCam (RTSP)");
-        break;
-      case testbed::AppKind::WebcamUdp:
-      case testbed::AppKind::WebcamUdpDownlink:
-        ue.source = std::make_unique<workloads::WebcamSource>(
-            sim_, sink, ue.flow_id, direction, qci,
-            workloads::webcam_udp_params(), ue.rng.fork(), "WebCam (UDP)");
-        break;
-      case testbed::AppKind::VrGvsp:
-        ue.source = std::make_unique<workloads::VrGvspSource>(
-            sim_, sink, ue.flow_id, direction, qci, workloads::VrGvspParams{},
-            ue.rng.fork());
-        break;
-      case testbed::AppKind::GamingQci7:
-      case testbed::AppKind::GamingQci9:
-        ue.source = std::make_unique<workloads::GamingSource>(
-            sim_, sink, ue.flow_id, direction, qci, workloads::GamingParams{},
-            ue.rng.fork());
-        break;
-    }
-  }
+  ue.source = testbed::make_app_source(sim_, ue.scenario, ue.flow_id,
+                                       ue.record.imsi, *ue.device, *server_,
+                                       ue.rng);
 
   // §13 byzantine overlay. Role and generator randomness come from a
   // dedicated stream under the member's seed, guarded by enabled(): a
@@ -300,14 +223,19 @@ void FleetShard::build_ue(std::uint64_t ue_index,
       }
       // Every overlay is uplink: it leaves through the device's bearer
       // and contends for the air like any app traffic.
+      epc::UeDevice* device = ue.device.get();
       ue.adversary_source = workloads::make_adversary(
           ue.record.adversary, sim_,
-          [raw](const sim::Packet& p) { raw->device->app_send(p); },
+          [device](const sim::Packet& p) { device->app_send(p); },
           overlay_flow, adv_rng.fork());
     }
   }
 
-  build_ue_samplers(ue);
+  // The §13 leak sampler is built only when the config has adversaries,
+  // so honest fleets schedule no extra events and draw no extra forks.
+  ue.meter = std::make_unique<testbed::UeMeter>(
+      sim_, ue.scenario, ue.record.imsi, *ue.device, *server_, *spgw_, ue.rng,
+      /*meter_uncharged=*/config_.adversary.enabled());
 
   by_imsi_.emplace(ue.record.imsi, &ue);
   ues_.push_back(std::move(owned));
@@ -334,146 +262,17 @@ void FleetShard::build_background() {
   // Background congestion runs in the population's dominant direction;
   // with a mixed app population the downlink (where most fleet traffic
   // lives) is the congested side, matching the paper's iperf setup.
-  const sim::Direction direction = testbed::app_direction(config_.base.app);
-  workloads::TrafficSource::EmitFn sink;
-  if (direction == sim::Direction::Uplink) {
-    sink = [this](const sim::Packet& p) { bg_ue_->app_send(p); };
-  } else {
-    sink = [this, bg_imsi](const sim::Packet& p) {
-      spgw_->downlink_submit(bg_imsi, p);
-    };
-  }
-  workloads::BackgroundParams bg_params;
-  bg_params.rate_mbps = config_.base.background_mbps;
-  bg_source_ = std::make_unique<workloads::BackgroundUdpSource>(
-      sim_, sink, kBackgroundFlow, direction, bg_params, bg_rng.fork());
-}
-
-void FleetShard::build_ue_samplers(UeCtx& ue) {
-  const sim::Direction direction =
-      testbed::app_direction(ue.record.member.app);
-  const charging::ClockModel exact{0.0, 0.0};
-  const epc::Imsi imsi = ue.record.imsi;
-  UeCtx* raw = &ue;
-
-  auto make_monitor = [&ue](std::string name,
-                            std::function<std::uint64_t()> reader)
-      -> const charging::UsageMonitor& {
-    ue.monitors.push_back(std::make_unique<charging::CallbackMonitor>(
-        std::move(name), std::move(reader)));
-    return *ue.monitors.back();
-  };
-
-  const charging::UsageMonitor& true_sent =
-      direction == sim::Direction::Uplink
-          ? make_monitor("true-sent",
-                         [raw] { return raw->device->app_tx_bytes(); })
-          : make_monitor("true-sent",
-                         [this, imsi] { return server_->sent_bytes(imsi); });
-  const charging::UsageMonitor& true_received =
-      direction == sim::Direction::Uplink
-          ? make_monitor("true-received",
-                         [this, imsi] { return server_->received_bytes(imsi); })
-          : make_monitor("true-received",
-                         [raw] { return raw->device->app_rx_bytes(); });
-
-  const charging::UsageMonitor& gateway =
-      direction == sim::Direction::Uplink
-          ? make_monitor("gateway-ul",
-                         [this, imsi] { return spgw_->uplink_bytes(imsi); })
-          : make_monitor("gateway-dl",
-                         [this, imsi] { return spgw_->downlink_bytes(imsi); });
-
-  const charging::UsageMonitor* op_far_side = nullptr;
-  if (config_.base.enable_counter_check) {
-    op_far_side =
-        direction == sim::Direction::Uplink
-            ? static_cast<const charging::UsageMonitor*>(&ue.rrc_ul)
-            : static_cast<const charging::UsageMonitor*>(&ue.rrc_dl);
-  } else {
-    op_far_side =
-        direction == sim::Direction::Uplink
-            ? &make_monitor("trafficstats-tx",
-                            [raw] { return raw->device->traffic_stats_tx(); })
-            : &make_monitor("trafficstats-rx",
-                            [raw] { return raw->device->traffic_stats_rx(); });
-  }
-
-  const charging::UsageMonitor& op_sent =
-      direction == sim::Direction::Uplink ? *op_far_side : gateway;
-  const charging::UsageMonitor& op_received =
-      direction == sim::Direction::Uplink ? gateway : *op_far_side;
-
-  ue.true_sent = std::make_unique<charging::CycleSampler>(sim_, true_sent,
-                                                          exact, ue.rng.fork());
-  ue.true_received = std::make_unique<charging::CycleSampler>(
-      sim_, true_received, exact, ue.rng.fork());
-  ue.edge_sent = std::make_unique<charging::CycleSampler>(sim_, true_sent,
-                                                          exact, ue.rng.fork());
-  ue.edge_received = std::make_unique<charging::CycleSampler>(
-      sim_, true_received, exact, ue.rng.fork());
-  ue.op_sent = std::make_unique<charging::CycleSampler>(sim_, op_sent, exact,
-                                                        ue.rng.fork());
-  ue.op_received = std::make_unique<charging::CycleSampler>(
-      sim_, op_received, exact, ue.rng.fork());
-  ue.gateway = std::make_unique<charging::CycleSampler>(sim_, gateway, exact,
-                                                        ue.rng.fork());
-  ue.edge_clock_rng = ue.rng.fork();
-  ue.op_clock_rng = ue.rng.fork();
-
-  // §13 leak sampler — appended strictly after every pre-existing fork
-  // so the streams above keep their exact draws, and gated so honest
-  // configs build (and schedule) nothing new at all.
-  if (config_.adversary.enabled()) {
-    const charging::UsageMonitor& uncharged = make_monitor(
-        "uncharged", [this, imsi] { return spgw_->uncharged_bytes(imsi); });
-    ue.uncharged = std::make_unique<charging::CycleSampler>(
-        sim_, uncharged, exact, ue.rng.fork());
-  }
-}
-
-void FleetShard::schedule_ue_boundaries(UeCtx& ue) {
-  const SimTime max_offset = max_boundary_offset(config_.base.cycle_length);
-  const double cycle_s = to_seconds(config_.base.cycle_length);
-  const charging::ClockModel edge_clock{
-      config_.base.edge_clock_rel_std * cycle_s, 0.0};
-  const charging::ClockModel op_clock{
-      config_.base.operator_clock_rel_std * cycle_s, 0.0};
-  const epc::Imsi imsi = ue.record.imsi;
-
-  for (int i = 0; i <= config_.base.cycles; ++i) {
-    const SimTime nominal =
-        static_cast<SimTime>(i) * config_.base.cycle_length;
-    const SimTime edge_at =
-        nominal +
-        draw_clamped_offset(edge_clock, ue.edge_clock_rng, max_offset);
-    const SimTime op_at =
-        nominal + draw_clamped_offset(op_clock, ue.op_clock_rng, max_offset);
-
-    ue.true_sent->schedule_boundary(nominal);
-    ue.true_received->schedule_boundary(nominal);
-    ue.edge_sent->schedule_boundary(edge_at);
-    ue.edge_received->schedule_boundary(edge_at);
-    ue.op_sent->schedule_boundary(op_at);
-    ue.op_received->schedule_boundary(op_at);
-    ue.gateway->schedule_boundary(op_at);
-    // §13 leak sampler shares the operator's boundary (and draws its
-    // offset from its own fork, so the op_at draw sequence above is
-    // untouched).
-    if (ue.uncharged) ue.uncharged->schedule_boundary(op_at);
-
-    if (config_.base.enable_counter_check) {
-      sim_.schedule_at(std::max<SimTime>(op_at - kCounterCheckLead, 0),
-                       [this, imsi] { enodeb_->request_counter_check(imsi); });
-    }
-  }
+  bg_source_ = testbed::make_background_source(
+      sim_, testbed::app_direction(config_.base.app),
+      config_.base.background_mbps, kBackgroundFlow, bg_imsi, *bg_ue_, *spgw_,
+      bg_rng);
 }
 
 const std::vector<UeRecord>& FleetShard::run() {
   if (ran_) return records_;
   ran_ = true;
 
-  for (auto& ue : ues_) schedule_ue_boundaries(*ue);
+  for (auto& ue : ues_) ue->meter->schedule_boundaries(*enodeb_);
   mme_->start();
   for (auto& ue : ues_) {
     ue->source->start(0);
@@ -495,26 +294,8 @@ const std::vector<UeRecord>& FleetShard::run() {
   records_.reserve(ues_.size());
   for (auto& owned : ues_) {
     UeCtx& ue = *owned;
-    ue.record.cycles.resize(static_cast<std::size_t>(config_.base.cycles));
-    for (int i = 0; i < config_.base.cycles; ++i) {
-      auto& cycle = ue.record.cycles[static_cast<std::size_t>(i)];
-      const auto idx = static_cast<std::size_t>(i);
-      cycle.true_sent = ue.true_sent->cycle_volume(idx);
-      cycle.true_received = ue.true_received->cycle_volume(idx);
-      cycle.edge_sent = ue.edge_sent->cycle_volume(idx);
-      cycle.edge_received = ue.edge_received->cycle_volume(idx);
-      cycle.op_sent = ue.op_sent->cycle_volume(idx);
-      cycle.op_received = ue.op_received->cycle_volume(idx);
-      cycle.gateway_volume = ue.gateway->cycle_volume(idx);
-    }
-    ue.record.uncharged_per_cycle.assign(
-        static_cast<std::size_t>(config_.base.cycles), 0);
-    if (ue.uncharged) {
-      for (int i = 0; i < config_.base.cycles; ++i) {
-        ue.record.uncharged_per_cycle[static_cast<std::size_t>(i)] =
-            ue.uncharged->cycle_volume(static_cast<std::size_t>(i));
-      }
-    }
+    ue.record.cycles = ue.meter->cycles();
+    ue.record.uncharged_per_cycle = ue.meter->uncharged_per_cycle();
     ue.record.anomaly = spgw_->anomaly(ue.record.imsi);
 
     // Scheme evaluation rides the member's own seed stream, so the

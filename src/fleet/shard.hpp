@@ -19,8 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "charging/monitors.hpp"
-#include "charging/sampler.hpp"
 #include "epc/enodeb.hpp"
 #include "epc/hss.hpp"
 #include "epc/mme.hpp"
@@ -84,8 +82,6 @@ class FleetShard {
   [[nodiscard]] std::uint64_t shard_seed() const;
   void build_ue(std::uint64_t ue_index, std::uint64_t member_stream);
   void build_background();
-  void build_ue_samplers(UeCtx& ue);
-  void schedule_ue_boundaries(UeCtx& ue);
 
   FleetConfig config_;
   int shard_index_;

@@ -6,13 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_settlement.hpp"
 #include "fleet/engine_detail.hpp"
 #include "fleet/thread_pool.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/state_log.hpp"
-#include "transport/coded_session.hpp"
-#include "transport/lossy_settlement.hpp"
 #include "transport/settlement_journal.hpp"
 #include "util/fileio.hpp"
 #include "util/logging.hpp"
@@ -214,6 +211,22 @@ Expected<std::vector<UeRecord>> decode_shard_records(const Bytes& data) {
   return records;
 }
 
+// A decodable checkpoint from a run of another shape (fewer cycles, a
+// different partition) left in the same state_dir must not be spliced
+// in: aggregation indexes every record's cycles by the current config.
+Status check_shard_records(const std::vector<UeRecord>& records,
+                           const detail::ShardSlice& slice,
+                           const FleetConfig& fleet) {
+  bool fits = records.size() == slice.ue_count;
+  for (const UeRecord& record : records) {
+    // Unsigned wrap sends a ue_index below the slice out of range too.
+    fits = fits && record.ue_index - slice.first_ue < slice.ue_count &&
+           record.cycles.size() == static_cast<std::size_t>(fleet.base.cycles);
+  }
+  if (fits) return Status::Ok();
+  return Err("shard checkpoint: records do not match this run's shard");
+}
+
 // ---------------------------------------------------------------------
 // State-file layout under config.state_dir.
 // ---------------------------------------------------------------------
@@ -261,6 +274,11 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
           // The rename protocol never leaves a torn checkpoint, so a
           // corrupt one means the storage lied — surface it.
           out.error = Err(records.error());
+          return out;
+        }
+        Status matches = check_shard_records(*records, slice, config.fleet);
+        if (!matches.ok()) {
+          out.error = matches;
           return out;
         }
         out.records = std::move(*records);
@@ -397,41 +415,16 @@ Status run_settle_phase(const SupervisorConfig& config,
     const std::vector<core::SettlementItem> chunk_items(
         items.begin() + static_cast<std::ptrdiff_t>(begin),
         items.begin() + static_cast<std::ptrdiff_t>(end));
-    std::vector<core::SettlementReceipt> receipts;
-    transport::CodedCounters coded;
-    if (config.fleet.lossy_transport &&
-        config.fleet.transport.coding == transport::Coding::Rlnc) {
-      transport::CodedSettler settler(batch, config.fleet.transport, keys);
-      settler.set_crash_plan(config.plan);
-      transport::LossyBatchReport report =
-          settler.settle(chunk_items, config.fleet.threads);
-      receipts = std::move(report.receipts);
-      coded = report.coded;
-    } else if (config.fleet.lossy_transport) {
-      transport::LossySettler settler(batch, config.fleet.transport, keys);
-      settler.set_crash_plan(config.plan);
-      receipts =
-          settler.settle(chunk_items, config.fleet.threads).receipts;
-    } else {
-      // The in-process settler has no crash hook; fire the settle-cycle
-      // point once per UE group here so lossless runs crash too.
-      if (config.plan != nullptr) {
-        std::uint64_t last_ue = ~0ULL;
-        for (const core::SettlementItem& item : chunk_items) {
-          if (item.ue_id == last_ue) continue;
-          last_ue = item.ue_id;
-          config.plan->fire(recovery::kCrashSettleCycle, item.ue_id);
-        }
-      }
-      core::BatchSettler settler(batch, keys);
-      receipts = settler.settle(chunk_items, config.fleet.threads);
-    }
+    transport::LossyBatchReport report =
+        detail::settle_batch(config.fleet, batch, keys, chunk_items,
+                             config.fleet.threads, config.plan);
     Status journaled = journal->record_chunk(
-        static_cast<std::uint32_t>(chunk_index), receipts, coded);
+        static_cast<std::uint32_t>(chunk_index), report.receipts,
+        report.coded);
     if (!journaled.ok()) return journaled;
-    result.receipts.insert(result.receipts.end(), receipts.begin(),
-                           receipts.end());
-    result.coded_totals += coded;
+    result.receipts.insert(result.receipts.end(), report.receipts.begin(),
+                           report.receipts.end());
+    result.coded_totals += report.coded;
   }
   return Status::Ok();
 }

@@ -40,7 +40,11 @@ struct SupervisorConfig {
   FleetConfig fleet;
   /// Directory for checkpoints and journals; created if absent. Must
   /// be set — crash consistency without a place to put state is not a
-  /// thing.
+  /// thing. Must not be shared across configs: state left by a dead
+  /// run is reused as-is whenever its shape fits. A shard checkpoint
+  /// whose record count, UE range or cycle count differs from this
+  /// run's is rejected with an error, but same-shape stale state from
+  /// another config is spliced in unchecked.
   std::string state_dir;
   /// Crash injection; nullptr = run with recovery machinery but no
   /// injected faults.

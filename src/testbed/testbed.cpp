@@ -1,28 +1,8 @@
 #include "testbed/testbed.hpp"
 
-#include <algorithm>
 #include <cassert>
 
-#include "workloads/background.hpp"
-#include "workloads/gaming.hpp"
-#include "workloads/vr_gvsp.hpp"
-#include "workloads/webcam.hpp"
-
 namespace tlc::testbed {
-namespace {
-
-constexpr SimTime kBoundaryGrace = 50 * kSecond;
-constexpr SimTime kCounterCheckLead = 120 * kMillisecond;
-
-/// Clock offsets are clamped so a boundary sample cannot drift into a
-/// neighbouring cycle's territory entirely.
-SimTime draw_clamped_offset(const charging::ClockModel& model, Rng& rng,
-                            SimTime max_abs) {
-  const SimTime offset = model.draw_offset(rng);
-  return std::clamp<SimTime>(offset, -max_abs, max_abs);
-}
-
-}  // namespace
 
 Testbed::Testbed(ScenarioConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
@@ -73,16 +53,20 @@ Testbed::Testbed(ScenarioConfig config)
     enodeb_->set_counter_check_handler(
         [this](epc::Imsi imsi, std::uint64_t ul, std::uint64_t dl,
                SimTime at) {
-          if (imsi == kAppImsi) {
-            rrc_ul_.on_report(ul, dl, at);
-            rrc_dl_.on_report(ul, dl, at);
-          }
+          if (imsi == kAppImsi) meter_->on_counter_check(ul, dl, at);
         });
   }
 
   wire_attach_handling();
-  build_sources();
-  build_samplers();
+  app_source_ = make_app_source(sim_, config_, kAppFlow, kAppImsi, *app_ue_,
+                                *server_, rng_);
+  if (config_.background_mbps > 0.0) {
+    bg_source_ = make_background_source(
+        sim_, app_direction(config_.app), config_.background_mbps,
+        kBackgroundFlow, kBackgroundImsi, *bg_ue_, *spgw_, rng_);
+  }
+  meter_ = std::make_unique<UeMeter>(sim_, config_, kAppImsi, *app_ue_,
+                                     *server_, *spgw_, rng_);
 }
 
 void Testbed::wire_attach_handling() {
@@ -105,184 +89,6 @@ void Testbed::wire_attach_handling() {
   assert(app_ok && bg_ok);
   (void)app_ok;
   (void)bg_ok;
-}
-
-void Testbed::build_sources() {
-  const sim::Direction direction = app_direction(config_.app);
-  const sim::Qci qci = pcrf_.qci_for(kAppFlow);
-
-  workloads::TrafficSource::EmitFn app_sink;
-  if (direction == sim::Direction::Uplink) {
-    app_sink = [this](const sim::Packet& p) { app_ue_->app_send(p); };
-  } else {
-    app_sink = [this](const sim::Packet& p) {
-      server_->app_send(kAppImsi, p);
-    };
-  }
-
-  if (config_.replay_trace) {
-    // The paper's methodology: loop a captured trace (tcprelay) through
-    // the testbed instead of running a generative model.
-    app_source_ = std::make_unique<workloads::TraceReplaySource>(
-        sim_, app_sink, kAppFlow, *config_.replay_trace, /*loop=*/true);
-    return build_background_source(direction);
-  }
-  switch (config_.app) {
-    case AppKind::WebcamRtsp:
-      app_source_ = std::make_unique<workloads::WebcamSource>(
-          sim_, app_sink, kAppFlow, direction, qci,
-          workloads::webcam_rtsp_params(), rng_.fork(), "WebCam (RTSP)");
-      break;
-    case AppKind::WebcamUdp:
-    case AppKind::WebcamUdpDownlink:
-      app_source_ = std::make_unique<workloads::WebcamSource>(
-          sim_, app_sink, kAppFlow, direction, qci,
-          workloads::webcam_udp_params(), rng_.fork(), "WebCam (UDP)");
-      break;
-    case AppKind::VrGvsp:
-      app_source_ = std::make_unique<workloads::VrGvspSource>(
-          sim_, app_sink, kAppFlow, direction, qci, workloads::VrGvspParams{},
-          rng_.fork());
-      break;
-    case AppKind::GamingQci7:
-    case AppKind::GamingQci9:
-      app_source_ = std::make_unique<workloads::GamingSource>(
-          sim_, app_sink, kAppFlow, direction, qci, workloads::GamingParams{},
-          rng_.fork());
-      break;
-  }
-  build_background_source(direction);
-}
-
-void Testbed::build_background_source(sim::Direction direction) {
-
-  if (config_.background_mbps > 0.0) {
-    workloads::TrafficSource::EmitFn bg_sink;
-    if (direction == sim::Direction::Uplink) {
-      bg_sink = [this](const sim::Packet& p) { bg_ue_->app_send(p); };
-    } else {
-      // Background downlink arrives from the Internet side of the
-      // gateway, not from the edge server (it must not touch the edge
-      // vendor's netstat counters).
-      bg_sink = [this](const sim::Packet& p) {
-        spgw_->downlink_submit(kBackgroundImsi, p);
-      };
-    }
-    workloads::BackgroundParams bg_params;
-    bg_params.rate_mbps = config_.background_mbps;
-    bg_source_ = std::make_unique<workloads::BackgroundUdpSource>(
-        sim_, bg_sink, kBackgroundFlow, direction, bg_params, rng_.fork());
-  }
-}
-
-void Testbed::build_samplers() {
-  const sim::Direction direction = app_direction(config_.app);
-  const charging::ClockModel exact{0.0, 0.0};
-  auto make_monitor = [this](std::string name,
-                             std::function<std::uint64_t()> reader)
-      -> const charging::UsageMonitor& {
-    monitors_.push_back(std::make_unique<charging::CallbackMonitor>(
-        std::move(name), std::move(reader)));
-    return *monitors_.back();
-  };
-
-  // Ground-truth counting points.
-  const charging::UsageMonitor& true_sent =
-      direction == sim::Direction::Uplink
-          ? make_monitor("true-sent", [this] { return app_ue_->app_tx_bytes(); })
-          : make_monitor("true-sent", [this] { return server_->sent_bytes(kAppImsi); });
-  const charging::UsageMonitor& true_received =
-      direction == sim::Direction::Uplink
-          ? make_monitor("true-received",
-                         [this] { return server_->received_bytes(kAppImsi); })
-          : make_monitor("true-received",
-                         [this] { return app_ue_->app_rx_bytes(); });
-
-  // Operator's gateway counter for the app's direction (the legacy
-  // billing basis).
-  const charging::UsageMonitor& gateway =
-      direction == sim::Direction::Uplink
-          ? make_monitor("gateway-ul",
-                         [this] { return spgw_->uplink_bytes(kAppImsi); })
-          : make_monitor("gateway-dl",
-                         [this] { return spgw_->downlink_bytes(kAppImsi); });
-
-  // Operator's view of the other endpoint: RRC COUNTER CHECK when
-  // activated (§5.4 "our solution"), else the tamperable user-space
-  // TrafficStats API (strawman 1).
-  const charging::UsageMonitor* op_far_side = nullptr;
-  if (config_.enable_counter_check) {
-    op_far_side = direction == sim::Direction::Uplink
-                      ? static_cast<const charging::UsageMonitor*>(&rrc_ul_)
-                      : static_cast<const charging::UsageMonitor*>(&rrc_dl_);
-  } else {
-    op_far_side =
-        direction == sim::Direction::Uplink
-            ? &make_monitor("trafficstats-tx",
-                            [this] { return app_ue_->traffic_stats_tx(); })
-            : &make_monitor("trafficstats-rx",
-                            [this] { return app_ue_->traffic_stats_rx(); });
-  }
-
-  // Per-party assembled (sent, received) views.
-  const charging::UsageMonitor& edge_sent = true_sent;
-  const charging::UsageMonitor& edge_received = true_received;
-  const charging::UsageMonitor& op_sent =
-      direction == sim::Direction::Uplink ? *op_far_side : gateway;
-  const charging::UsageMonitor& op_received =
-      direction == sim::Direction::Uplink ? gateway : *op_far_side;
-
-  true_sent_sampler_ =
-      std::make_unique<charging::CycleSampler>(sim_, true_sent, exact,
-                                               rng_.fork());
-  true_received_sampler_ = std::make_unique<charging::CycleSampler>(
-      sim_, true_received, exact, rng_.fork());
-  edge_sent_sampler_ = std::make_unique<charging::CycleSampler>(
-      sim_, edge_sent, exact, rng_.fork());
-  edge_received_sampler_ = std::make_unique<charging::CycleSampler>(
-      sim_, edge_received, exact, rng_.fork());
-  op_sent_sampler_ = std::make_unique<charging::CycleSampler>(
-      sim_, op_sent, exact, rng_.fork());
-  op_received_sampler_ = std::make_unique<charging::CycleSampler>(
-      sim_, op_received, exact, rng_.fork());
-  gateway_sampler_ = std::make_unique<charging::CycleSampler>(
-      sim_, gateway, exact, rng_.fork());
-}
-
-void Testbed::schedule_cycle_boundaries() {
-  const SimTime max_offset = std::min<SimTime>(
-      kBoundaryGrace - 5 * kSecond, config_.cycle_length / 2);
-  const double cycle_s = to_seconds(config_.cycle_length);
-  const charging::ClockModel edge_clock{
-      config_.edge_clock_rel_std * cycle_s, 0.0};
-  const charging::ClockModel op_clock{
-      config_.operator_clock_rel_std * cycle_s, 0.0};
-  Rng edge_clock_rng = rng_.fork();
-  Rng op_clock_rng = rng_.fork();
-
-  for (int i = 0; i <= config_.cycles; ++i) {
-    const SimTime nominal = static_cast<SimTime>(i) * config_.cycle_length;
-    const SimTime edge_at =
-        nominal + draw_clamped_offset(edge_clock, edge_clock_rng, max_offset);
-    const SimTime op_at =
-        nominal + draw_clamped_offset(op_clock, op_clock_rng, max_offset);
-
-    true_sent_sampler_->schedule_boundary(nominal);
-    true_received_sampler_->schedule_boundary(nominal);
-    edge_sent_sampler_->schedule_boundary(edge_at);
-    edge_received_sampler_->schedule_boundary(edge_at);
-    op_sent_sampler_->schedule_boundary(op_at);
-    op_received_sampler_->schedule_boundary(op_at);
-    gateway_sampler_->schedule_boundary(op_at);
-
-    // The operator refreshes its RRC-based record just before it
-    // snapshots (bounded overhead: one COUNTER CHECK per boundary plus
-    // those piggybacked on RRC releases).
-    if (config_.enable_counter_check) {
-      sim_.schedule_at(std::max<SimTime>(op_at - kCounterCheckLead, 0),
-                       [this] { enodeb_->request_counter_check(kAppImsi); });
-    }
-  }
 }
 
 void Testbed::on_app_receive(const sim::Packet& packet) {
@@ -359,7 +165,7 @@ const std::vector<CycleMeasurements>& Testbed::run() {
   if (ran_) return cycles_;
   ran_ = true;
 
-  schedule_cycle_boundaries();
+  meter_->schedule_boundaries(*enodeb_);
   mme_->start();
   app_source_->start(0);
   if (bg_source_) bg_source_->start(0);
@@ -380,18 +186,7 @@ const std::vector<CycleMeasurements>& Testbed::run() {
   app_source_->stop();
   if (bg_source_) bg_source_->stop();
 
-  cycles_.resize(static_cast<std::size_t>(config_.cycles));
-  for (int i = 0; i < config_.cycles; ++i) {
-    auto& cycle = cycles_[static_cast<std::size_t>(i)];
-    const auto idx = static_cast<std::size_t>(i);
-    cycle.true_sent = true_sent_sampler_->cycle_volume(idx);
-    cycle.true_received = true_received_sampler_->cycle_volume(idx);
-    cycle.edge_sent = edge_sent_sampler_->cycle_volume(idx);
-    cycle.edge_received = edge_received_sampler_->cycle_volume(idx);
-    cycle.op_sent = op_sent_sampler_->cycle_volume(idx);
-    cycle.op_received = op_received_sampler_->cycle_volume(idx);
-    cycle.gateway_volume = gateway_sampler_->cycle_volume(idx);
-  }
+  cycles_ = meter_->cycles();
   return cycles_;
 }
 

@@ -5,7 +5,6 @@
 
 #include "recovery/crc32c.hpp"
 #include "sim/rng_stream.hpp"
-#include "transport/group_runner.hpp"
 #include "transport/settlement_journal.hpp"
 #include "util/serde.hpp"
 
@@ -453,13 +452,13 @@ LossyBatchReport CodedSettler::settle(
     const std::vector<core::SettlementItem>& items, unsigned threads) const {
   LossyBatchReport report;
   report.receipts.resize(items.size());
-  const std::deque<detail::UeGroup> groups =
-      detail::group_by_ue(items, report.receipts);
+  const std::deque<core::UeGroup> groups =
+      core::group_by_ue(items, report.receipts);
   // Per-group counters merge after the pool drains, in group order —
   // the same discipline that keeps receipts thread-count independent.
   std::vector<CodedCounters> counters(groups.size());
 
-  auto run_group = [&](const detail::UeGroup& group, std::size_t gi) {
+  auto run_group = [&](const core::UeGroup& group, std::size_t gi) {
     const std::uint64_t ue = group.ue_id;
     std::vector<core::SettlementItem> group_items;
     group_items.reserve(group.item_indices.size());
@@ -534,11 +533,11 @@ LossyBatchReport CodedSettler::settle(
     }
   };
 
-  detail::run_groups(groups, threads, run_group);
+  core::run_groups(groups, threads, run_group);
   for (const CodedCounters& group_counters : counters) {
     report.coded += group_counters;
   }
-  detail::fill_census(report);
+  fill_census(report);
   return report;
 }
 

@@ -184,8 +184,11 @@ class CodedTransfer {
 /// The §17 settler: same grouping, threading and crash-injection
 /// rules as LossySettler, but each group's receipts are negotiated
 /// in-process (lossless batch mechanics) and carried across the lossy
-/// link as one RLNC-coded sealed batch. With zero fault rates the
-/// receipts, bills and digests are byte-identical to LossySettler's.
+/// link as one RLNC-coded sealed batch. With zero fault rates every
+/// transfer delivers, so the receipts are the in-process BatchSettler's.
+/// They equal LossySettler's byte for byte only while every cycle
+/// converges: after a failed cycle the in-process negotiation poisons
+/// the UE's remaining cycles, while LossySettler negotiates each one.
 class CodedSettler {
  public:
   /// `keys` must outlive the settler.

@@ -3,10 +3,28 @@
 #include <algorithm>
 
 #include "sim/rng_stream.hpp"
-#include "transport/group_runner.hpp"
 #include "transport/settlement_runner.hpp"
 
 namespace tlc::transport {
+
+void fill_census(LossyBatchReport& report) {
+  for (const core::SettlementReceipt& receipt : report.receipts) {
+    switch (receipt.outcome) {
+      case core::SettleOutcome::Converged:
+        ++report.converged;
+        break;
+      case core::SettleOutcome::Retried:
+        ++report.retried;
+        break;
+      case core::SettleOutcome::Degraded:
+        ++report.degraded;
+        break;
+      case core::SettleOutcome::RejectedTamper:
+        ++report.rejected_tamper;
+        break;
+    }
+  }
+}
 
 LossySettler::LossySettler(core::BatchConfig config, TransportConfig transport,
                            const core::RsaKeyCache& keys)
@@ -19,10 +37,10 @@ LossyBatchReport LossySettler::settle(
 
   // Same grouping as BatchSettler: by UE in first-appearance order,
   // item n of a UE = its cycle n.
-  const std::deque<detail::UeGroup> groups =
-      detail::group_by_ue(items, report.receipts);
+  const std::deque<core::UeGroup> groups =
+      core::group_by_ue(items, report.receipts);
 
-  auto run_group = [&](const detail::UeGroup& group, std::size_t) {
+  auto run_group = [&](const core::UeGroup& group, std::size_t) {
     const std::uint64_t ue = group.ue_id;
     auto edge = core::make_batch_session(config_, keys_, ue,
                                          core::PartyRole::EdgeVendor,
@@ -79,8 +97,8 @@ LossyBatchReport LossySettler::settle(
     }
   };
 
-  detail::run_groups(groups, threads, run_group);
-  detail::fill_census(report);
+  core::run_groups(groups, threads, run_group);
+  fill_census(report);
   return report;
 }
 

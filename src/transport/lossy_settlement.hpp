@@ -12,8 +12,10 @@
 // cycle, party) for retry jitter, and (rng_salt, ue, role) for session
 // nonces — pure functions, no wall clock, no shared RNG sequences.
 // Receipts and counters are therefore bit-identical for every thread
-// count, and with all-zero fault rates the PoC bytes equal the
-// lossless BatchSettler's exactly.
+// count. With all-zero fault rates the PoC bytes equal the lossless
+// BatchSettler's exactly, but only while every cycle converges: after
+// a failed cycle BatchSettler poisons the UE's remaining cycles, while
+// this settler negotiates each one.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +40,10 @@ struct LossyBatchReport {
   std::size_t rejected_tamper = 0;
   CodedCounters coded;
 };
+
+/// Fills the per-outcome census from the receipts, in input order — a
+/// pure function of the receipts.
+void fill_census(LossyBatchReport& report);
 
 class LossySettler {
  public:

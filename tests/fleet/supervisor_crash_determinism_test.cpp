@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "fleet/engine.hpp"
@@ -215,7 +216,8 @@ TEST_F(SupervisorCrashDeterminismTest, KillAtCodedPacketPointsConverges) {
 
 TEST_F(SupervisorCrashDeterminismTest, KillAtEverySupervisorPointConverges) {
   // Deterministic (non-seeded) sweep over the supervisor-level crash
-  // points, one kill each, checking recovery machinery actually engaged.
+  // points, one kill each, checking recovery machinery actually engaged
+  // — on every settle path, each against its own crash-free reference.
   struct Case {
     const char* point;
     std::uint64_t scope;
@@ -229,20 +231,33 @@ TEST_F(SupervisorCrashDeterminismTest, KillAtEverySupervisorPointConverges) {
       {recovery::kCrashJournalAppendPost, 0},
       {recovery::kCrashCheckpointPostRename, 0},
   };
+  struct Path {
+    const char* name;
+    FleetConfig fleet;
+    const FleetResult* reference;
+  };
+  const Path paths[] = {
+      {"lossless", soak_fleet(2, false), lossless_},
+      {"stop-and-wait", soak_fleet(2, true), lossy_},
+      {"coded", coded_soak_fleet(2), coded_},
+  };
   std::uint64_t tag = 200;
-  for (const Case& c : cases) {
-    recovery::CrashPlan plan;
-    plan.arm({c.point, c.scope, 0, recovery::CrashKind::Kill});
-    SupervisorConfig config;
-    config.fleet = soak_fleet(2, false);
-    config.state_dir = state_dir_for("point", tag++);
-    config.plan = &plan;
-    auto supervised = run_supervised_fleet(config);
-    ASSERT_TRUE(supervised.has_value())
-        << c.point << ": " << supervised.error();
-    expect_identical(supervised->result, *lossless_, c.point);
-    EXPECT_EQ(supervised->stats.crashes, 1) << c.point;
-    EXPECT_EQ(supervised->stats.incarnations, 2) << c.point;
+  for (const Path& path : paths) {
+    for (const Case& c : cases) {
+      const std::string label = std::string(path.name) + " " + c.point;
+      recovery::CrashPlan plan;
+      plan.arm({c.point, c.scope, 0, recovery::CrashKind::Kill});
+      SupervisorConfig config;
+      config.fleet = path.fleet;
+      config.state_dir = state_dir_for("point", tag++);
+      config.plan = &plan;
+      auto supervised = run_supervised_fleet(config);
+      ASSERT_TRUE(supervised.has_value())
+          << label << ": " << supervised.error();
+      expect_identical(supervised->result, *path.reference, label);
+      EXPECT_EQ(supervised->stats.crashes, 1) << label;
+      EXPECT_EQ(supervised->stats.incarnations, 2) << label;
+    }
   }
 }
 
@@ -278,6 +293,31 @@ TEST_F(SupervisorCrashDeterminismTest, CheckpointsAreActuallyReused) {
   EXPECT_EQ(supervised->stats.shard_checkpoints_reused,
             static_cast<std::size_t>(config.fleet.shards));
   EXPECT_GE(supervised->stats.settle_chunks_recovered, 1u);
+}
+
+TEST_F(SupervisorCrashDeterminismTest, StaleCheckpointOfAnotherShapeIsRejected) {
+  // A 2-cycle run dies for good once its shards have checkpointed...
+  recovery::CrashPlan plan;
+  plan.arm({recovery::kCrashSettleChunkPre, 0, 0, recovery::CrashKind::Kill});
+  SupervisorConfig dead;
+  dead.fleet = soak_fleet(2, false);
+  dead.state_dir = state_dir_for("stale_shape", 1);
+  std::filesystem::remove_all(dead.state_dir);
+  dead.plan = &plan;
+  dead.max_incarnations = 1;
+  ASSERT_FALSE(run_supervised_fleet(dead).has_value());
+
+  // ...and a 3-cycle run in the same directory must refuse its shard
+  // checkpoints instead of aggregating cycles they do not have.
+  SupervisorConfig next;
+  next.fleet = soak_fleet(2, false);
+  next.fleet.base.cycles = 3;
+  next.state_dir = dead.state_dir;
+  auto supervised = run_supervised_fleet(next);
+  ASSERT_FALSE(supervised.has_value());
+  EXPECT_NE(supervised.error().find("shard checkpoint"), std::string::npos)
+      << supervised.error();
+  std::filesystem::remove_all(dead.state_dir);
 }
 
 }  // namespace

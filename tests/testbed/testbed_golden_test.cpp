@@ -74,11 +74,12 @@ void expect_pinned(const std::vector<CycleMeasurements>& got,
   }
 }
 
-// Captured from the pre-refactor Testbed. Note the counter-check
-// runs' op_received on cycle 1 exceeding true_sent: the RRC monitor
-// over-counts across an RLF detach and reattach. That is a known
-// defect, pinned here as-is so a behaviour-preserving change cannot
-// silently alter it.
+// Note cycle 1 of the counter-check runs: the operator's RRC-based
+// far-side view (op_sent uplink, op_received downlink) exceeds
+// true_sent. That is a known defect, suspected to be the COUNTER CHECK
+// monitor double-counting across an RLF detach and reattach. It is
+// pinned as-is so a behaviour-preserving change cannot alter it
+// silently; the fix re-pins these tables.
 const std::vector<Pinned> kUplinkCounterCheck = {
     {1964654u, 1879018u, 1969999u, 1859934u, 11200u, 1879018u, 1879018u},
     {1914945u, 1180221u, 1911265u, 1207972u, 3245417u, 1198416u, 1198416u},
