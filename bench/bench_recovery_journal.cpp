@@ -151,8 +151,8 @@ void BM_FleetPlain(benchmark::State& state) {
 BENCHMARK(BM_FleetPlain)->Unit(benchmark::kMillisecond);
 
 // The same fleet under supervision with no injected faults: every
-// shard checkpointed, every settlement chunk journaled, the OFCS
-// write-ahead. The delta over BM_FleetPlain is the recovery tax.
+// shard job checkpoints its records and its settled receipts, the OFCS
+// runs write-ahead. The delta over BM_FleetPlain is the recovery tax.
 void BM_FleetSupervisedCrashFree(benchmark::State& state) {
   fleet::SupervisorConfig config;
   config.fleet = bench_fleet();

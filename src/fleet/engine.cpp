@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <exception>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -203,18 +204,18 @@ std::vector<core::SettlementItem> settlement_items(
 transport::LossyBatchReport settle_batch(
     const FleetConfig& config, const core::BatchConfig& batch,
     const core::RsaKeyCache& keys,
-    const std::vector<core::SettlementItem>& items, unsigned threads,
+    const std::vector<core::SettlementItem>& items,
     recovery::CrashPlan* plan) {
   if (config.lossy_transport &&
       config.transport.coding == transport::Coding::Rlnc) {
     transport::CodedSettler settler(batch, config.transport, keys);
     settler.set_crash_plan(plan);
-    return settler.settle(items, threads);
+    return settler.settle(items, 1);
   }
   if (config.lossy_transport) {
     transport::LossySettler settler(batch, config.transport, keys);
     settler.set_crash_plan(plan);
-    return settler.settle(items, threads);
+    return settler.settle(items, 1);
   }
   if (plan != nullptr) {
     std::uint64_t last_ue = ~0ULL;
@@ -225,7 +226,7 @@ transport::LossyBatchReport settle_batch(
     }
   }
   transport::LossyBatchReport report;
-  report.receipts = core::BatchSettler(batch, keys).settle(items, threads);
+  report.receipts = core::BatchSettler(batch, keys).settle(items, 1);
   transport::fill_census(report);
   return report;
 }
@@ -361,12 +362,10 @@ void compute_digests(FleetResult& result) {
   result.ingest_digest = digest_ingest(result.ingest_batches);
 }
 
-}  // namespace detail
-
-FleetResult run_fleet(const FleetConfig& config) {
+Expected<FleetResult> drive_fleet(const FleetConfig& config,
+                                  Durability& durability) {
   FleetResult result;
-  const std::vector<detail::ShardSlice> slices =
-      detail::partition_shards(config);
+  const std::vector<ShardSlice> slices = partition_shards(config);
   if (slices.empty()) return result;
 
   // Key material is shared read-only across workers; build it before
@@ -374,37 +373,66 @@ FleetResult run_fleet(const FleetConfig& config) {
   std::unique_ptr<const core::RsaKeyCache> keys;
   if (config.settle) {
     keys = std::make_unique<core::RsaKeyCache>(
-        config.rsa_bits, config.key_cache_slots, detail::key_cache_seed(config));
+        config.rsa_bits, config.key_cache_slots, key_cache_seed(config));
   }
-  const core::BatchConfig batch = detail::make_batch_config(config);
+  const core::BatchConfig batch = make_batch_config(config);
 
-  // Run shards on the pool. Each job owns one pre-allocated slot and
-  // carries its slice end-to-end — simulation, gap-sample collection
-  // and TLC settlement of its own UEs — so workers never touch shared
-  // state. Receipts are pure per-UE functions of (items, keys, salt),
-  // which is what makes per-shard settlement concatenated in shard
-  // order byte-identical to a whole-fleet settle (and to the
-  // supervisor's journaled chunked settle).
-  std::vector<detail::ShardOutcome> slots(slices.size());
+  // Each job owns one pre-allocated slot and carries its slice end to
+  // end, so workers never touch shared state. Receipts are pure per-UE
+  // functions of (items, keys, salt), so per-shard settlement in shard
+  // order is byte-identical to a whole-fleet settle.
+  struct Slot {
+    ShardOutcome outcome;
+    Status status = Status::Ok();
+    std::exception_ptr thrown;
+  };
+  std::vector<Slot> slots(slices.size());
   {
     ThreadPool pool(config.threads);
     for (std::size_t i = 0; i < slices.size(); ++i) {
-      const detail::ShardSlice slice = slices[i];
-      detail::ShardOutcome* slot = &slots[i];
+      const ShardSlice slice = slices[i];
+      Slot* slot = &slots[i];
       const core::RsaKeyCache* key_cache = keys.get();
-      pool.submit([&config, &batch, slice, slot, key_cache] {
-        slot->records = detail::run_shard_slice(config, slice);
-        detail::collect_gap_samples(slot->records, slot->gap_samples);
-        if (key_cache != nullptr) {
-          transport::LossyBatchReport report = detail::settle_batch(
-              config, batch, *key_cache,
-              detail::settlement_items(slot->records, config), 1, nullptr);
-          slot->receipts = std::move(report.receipts);
-          slot->coded = report.coded;
+      pool.submit([&config, &batch, &durability, slice, slot, key_cache] {
+        ShardOutcome& out = slot->outcome;
+        const auto job = [&]() -> Status {
+          out = ShardOutcome{};
+          auto records = durability.records(
+              slice, [&] { return run_shard_slice(config, slice); });
+          if (!records) return Err(records.error());
+          out.records = std::move(*records);
+          collect_gap_samples(out.records, out.gap_samples);
+          if (key_cache == nullptr) return Status::Ok();
+          const std::vector<core::SettlementItem> items =
+              settlement_items(out.records, config);
+          const auto settle_items = [&](recovery::CrashPlan* plan) {
+            transport::LossyBatchReport report =
+                settle_batch(config, batch, *key_cache, items, plan);
+            return transport::SettlementChunk{
+                static_cast<std::uint32_t>(slice.shard_index),
+                std::move(report.receipts), report.coded};
+          };
+          auto settled = durability.settle(slice, items, settle_items);
+          if (!settled) return Err(settled.error());
+          out.receipts = std::move(settled->receipts);
+          out.coded = settled->coded;
+          return Status::Ok();
+        };
+        // Nothing may escape a worker thread (std::terminate): an
+        // injected crash is held and rethrown after the pool drains.
+        try {
+          slot->status = durability.run_job(slice, job);
+        } catch (...) {
+          slot->thrown = std::current_exception();
         }
       });
     }
     pool.wait_idle();
+  }
+  // Every job in a dying incarnation replicates the same crash site,
+  // so rethrowing the first one in shard order loses nothing.
+  for (const Slot& slot : slots) {
+    if (slot.thrown) std::rethrow_exception(slot.thrown);
   }
 
   // Merge in shard order == ue_index order (slices are contiguous), so
@@ -412,23 +440,32 @@ FleetResult run_fleet(const FleetConfig& config) {
   // over the whole fleet would have produced them.
   result.records.reserve(
       static_cast<std::size_t>(std::max(0, config.ue_count)));
-  for (detail::ShardOutcome& slot : slots) {
-    for (UeRecord& record : slot.records) {
+  for (Slot& slot : slots) {
+    if (!slot.status.ok()) return Err(slot.status.error());
+    ShardOutcome& out = slot.outcome;
+    for (UeRecord& record : out.records) {
       result.records.push_back(std::move(record));
     }
-    for (core::SettlementReceipt& receipt : slot.receipts) {
+    for (core::SettlementReceipt& receipt : out.receipts) {
       result.receipts.push_back(std::move(receipt));
     }
-    for (const auto& [scheme, samples] : slot.gap_samples) {
+    for (const auto& [scheme, samples] : out.gap_samples) {
       result.gap_samples[scheme].add_all(samples.values());
     }
-    result.coded_totals += slot.coded;
+    result.coded_totals += out.coded;
   }
 
-  epc::Ofcs ofcs(detail::fleet_plan(config));
-  detail::aggregate_fleet(config, ofcs, result, nullptr);
-  detail::compute_digests(result);
+  Status aggregated = durability.aggregate(config, result);
+  if (!aggregated.ok()) return Err(aggregated.error());
+  compute_digests(result);
   return result;
+}
+
+}  // namespace detail
+
+FleetResult run_fleet(const FleetConfig& config) {
+  detail::Durability none;  // no step reads state or does I/O: cannot fail
+  return detail::drive_fleet(config, none).value();
 }
 
 }  // namespace tlc::fleet

@@ -1,18 +1,14 @@
 // Internal fleet-engine building blocks, shared by the plain engine
 // (engine.cpp) and the crash-supervised runner (supervisor.cpp).
 //
-// One code path, two drivers: run_fleet composes these helpers
-// straight through, run_supervised_fleet interleaves them with
-// checkpoints, journals and crash-injection points. Everything here is
-// a pure function of its inputs, which is what makes the supervised
-// run's splice-and-resume provably bit-identical to the plain run —
-// the supervisor only ever substitutes a helper's output with that
-// same output recovered from disk.
-//
-// Settlement has exactly one dispatch, `settle_batch`: it picks the
-// in-process, stop-and-wait or RLNC-coded settler from the config. The
-// engine calls it once per shard job with no crash plan; the
-// supervisor calls it once per journal chunk with its plan.
+// One driver, two durability policies: `drive_fleet` runs one shard
+// job per slice on the pool (simulate → gap samples → `settle_batch`
+// of the shard's own UE groups), merges in shard order, aggregates
+// through the OFCS and digests. `run_fleet` passes no durability;
+// `run_supervised_fleet` checkpoints both steps of each job, watches
+// each job and journals the OFCS. Everything here is a pure function
+// of its inputs, so a step recovered from disk is byte-identical to
+// re-running it. `settle_batch` is the one settler dispatch.
 #pragma once
 
 #include <functional>
@@ -21,6 +17,8 @@
 #include "fleet/engine.hpp"
 #include "recovery/crash_plan.hpp"
 #include "transport/lossy_settlement.hpp"
+#include "transport/settlement_journal.hpp"
+#include "util/expected.hpp"
 
 namespace tlc::fleet::detail {
 
@@ -66,7 +64,7 @@ void collect_gap_samples(const std::vector<UeRecord>& records,
 [[nodiscard]] std::vector<core::SettlementItem> settlement_items(
     const std::vector<UeRecord>& records, const FleetConfig& config);
 
-/// Settles `items` on `threads` workers with the settler `config`
+/// Settles `items` on the calling thread with the settler `config`
 /// selects: transport::CodedSettler for a lossy transport coded with
 /// RLNC, transport::LossySettler for any other lossy transport, else
 /// core::BatchSettler. `plan` (nullable) is wired into the transport
@@ -77,7 +75,7 @@ void collect_gap_samples(const std::vector<UeRecord>& records,
 [[nodiscard]] transport::LossyBatchReport settle_batch(
     const FleetConfig& config, const core::BatchConfig& batch,
     const core::RsaKeyCache& keys,
-    const std::vector<core::SettlementItem>& items, unsigned threads,
+    const std::vector<core::SettlementItem>& items,
     recovery::CrashPlan* plan);
 
 /// OFCS aggregation: feeds the settlement census, installs the TLC
@@ -99,5 +97,55 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
 /// Fills the five SHA-256 digests (measurement, CDF, PoC, anomaly,
 /// ingest) from the result's own fields.
 void compute_digests(FleetResult& result);
+
+/// What a fleet run does to survive crashes. This base class is the
+/// "none" policy: each hook runs its step once, straight through; the
+/// supervisor overrides every hook with on-disk durability. Shard-job
+/// hooks run concurrently on pool workers, one job per slice.
+class Durability {
+ public:
+  Durability() = default;
+  Durability(const Durability&) = delete;  // pool jobs hold its address
+  Durability& operator=(const Durability&) = delete;
+  virtual ~Durability() = default;
+
+  /// Runs one whole shard job; may run it again from scratch.
+  [[nodiscard]] virtual Status run_job(const ShardSlice& /*slice*/,
+                                       const std::function<Status()>& job) {
+    return job();
+  }
+
+  /// The records step: `simulate` is run_shard_slice of the slice.
+  [[nodiscard]] virtual Expected<std::vector<UeRecord>> records(
+      const ShardSlice& /*slice*/,
+      const std::function<std::vector<UeRecord>()>& simulate) {
+    return simulate();
+  }
+
+  /// The settle step: `settle_items` is settle_batch of the shard's
+  /// `items` under the given crash plan, with the shard index as its
+  /// chunk index.
+  [[nodiscard]] virtual Expected<transport::SettlementChunk> settle(
+      const ShardSlice& /*slice*/,
+      const std::vector<core::SettlementItem>& /*items*/,
+      const std::function<transport::SettlementChunk(recovery::CrashPlan*)>&
+          settle_items) {
+    return settle_items(nullptr);
+  }
+
+  /// The OFCS pass over the merged `result`.
+  [[nodiscard]] virtual Status aggregate(const FleetConfig& config,
+                                         FleetResult& result) {
+    epc::Ofcs ofcs(fleet_plan(config));
+    aggregate_fleet(config, ofcs, result, nullptr);
+    return Status::Ok();
+  }
+};
+
+/// The one fleet driver. Each shard job writes only its own slot; an
+/// exception a job throws is held until the pool drains, then the
+/// first one in shard order is rethrown. Only `durability` can fail.
+[[nodiscard]] Expected<FleetResult> drive_fleet(const FleetConfig& config,
+                                                Durability& durability);
 
 }  // namespace tlc::fleet::detail

@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "fleet/engine_detail.hpp"
-#include "fleet/thread_pool.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/state_log.hpp"
-#include "transport/settlement_journal.hpp"
 #include "util/fileio.hpp"
 #include "util/logging.hpp"
 #include "util/serde.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace tlc::fleet {
 namespace {
@@ -227,256 +225,159 @@ Status check_shard_records(const std::vector<UeRecord>& records,
   return Err("shard checkpoint: records do not match this run's shard");
 }
 
-// ---------------------------------------------------------------------
-// State-file layout under config.state_dir.
-// ---------------------------------------------------------------------
-
-std::string shard_checkpoint_path(const SupervisorConfig& config, int shard) {
-  return config.state_dir + "/shard-" + std::to_string(shard) + ".ckpt";
+// A settle checkpoint is spliced in only when it is this shard's and
+// holds one receipt per settlement item (the slice's UE count × cycles),
+// in item order: the OFCS charge hook looks receipts up by (UE, cycle).
+Status check_settlement(const transport::SettlementChunk& chunk,
+                        const detail::ShardSlice& slice,
+                        const std::vector<core::SettlementItem>& items,
+                        const FleetConfig& fleet) {
+  const auto cycles = static_cast<std::size_t>(fleet.base.cycles);
+  bool fits =
+      chunk.chunk_index == static_cast<std::uint32_t>(slice.shard_index) &&
+      chunk.receipts.size() == slice.ue_count * cycles &&
+      chunk.receipts.size() == items.size();
+  for (std::size_t i = 0; fits && i < items.size(); ++i) {
+    fits = chunk.receipts[i].ue_id == items[i].ue_id &&
+           chunk.receipts[i].cycle == i % cycles;
+  }
+  if (fits) return Status::Ok();
+  return Err("settlement checkpoint: receipts do not match this run's shard");
 }
 
-std::string settle_journal_path(const SupervisorConfig& config) {
-  return config.state_dir + "/settle.wal";
+// `<state_dir>/<step>-<shard>.ckpt`: one file per shard job step.
+std::string checkpoint_path(const SupervisorConfig& config, const char* step,
+                            int shard) {
+  return config.state_dir + "/" + step + "-" + std::to_string(shard) + ".ckpt";
 }
 
 // ---------------------------------------------------------------------
-// Shard phase: run (or reuse) every shard under a per-shard wedge
-// watchdog. Workers never touch shared state — each fills its own
-// SliceOutcome slot, and the supervisor folds the slots in shard order
-// after the join so stats are deterministic at any thread count.
+// On-disk durability: each shard job step reuses a checkpoint (decoded
+// and checked against this run, else an error: the rename protocol
+// never leaves a torn one) or runs and writes one, a watchdog re-runs
+// wedged jobs, and the OFCS ledger runs write-ahead over a StateLog.
 // ---------------------------------------------------------------------
 
-struct SliceOutcome {
-  std::vector<UeRecord> records;
-  int wedges = 0;
-  int restarts = 0;
-  bool reused_checkpoint = false;
-  std::optional<recovery::CrashException> kill;
-  Status error = Status::Ok();
+class OnDiskDurability final : public detail::Durability {
+ public:
+  OnDiskDurability(const SupervisorConfig& config, SupervisionStats& stats)
+      : config_(config), stats_(&stats) {}
+
+  Status run_job(const detail::ShardSlice& slice,
+                 const std::function<Status()>& job) override {
+    for (int attempt = 1;; ++attempt) {
+      try {
+        return job();
+      } catch (const recovery::WedgeException& wedge) {
+        // Watchdog deadline: the job hung. Re-run it; its steps resume
+        // from whatever they checkpointed.
+        count(&SupervisionStats::wedges);
+        count(&SupervisionStats::shard_restarts);
+        TLC_WARN("fleet") << "shard " << slice.shard_index << " wedged at "
+                          << wedge.site.point << ", restarting (attempt "
+                          << attempt << ")";
+        if (attempt >= config_.max_shard_retries) {
+          return Err("supervisor: shard wedged past the watchdog budget");
+        }
+      }
+    }
+  }
+
+  Expected<std::vector<UeRecord>> records(
+      const detail::ShardSlice& slice,
+      const std::function<std::vector<UeRecord>()>& simulate) override {
+    const auto scope = static_cast<std::uint64_t>(slice.shard_index);
+    const std::string path =
+        checkpoint_path(config_, "shard", slice.shard_index);
+    auto existing = recovery::read_checkpoint_if_present(path);
+    if (!existing) return Err(existing.error());
+    if (existing->has_value()) {
+      auto records = decode_shard_records(**existing);
+      if (!records) return Err(records.error());
+      Status matches = check_shard_records(*records, slice, config_.fleet);
+      if (!matches.ok()) return Err(matches.error());
+      count(&SupervisionStats::shard_checkpoints_reused);
+      return records;
+    }
+    fire(recovery::kCrashShardRun, scope);
+    std::vector<UeRecord> records = simulate();
+    fire(recovery::kCrashShardWedge, scope);
+    Status wrote = recovery::write_checkpoint(
+        path, encode_shard_records(records), config_.plan, scope);
+    if (!wrote.ok()) return Err(wrote.error());
+    return records;
+  }
+
+  Expected<transport::SettlementChunk> settle(
+      const detail::ShardSlice& slice,
+      const std::vector<core::SettlementItem>& items,
+      const std::function<transport::SettlementChunk(recovery::CrashPlan*)>&
+          settle_items) override {
+    const auto scope = static_cast<std::uint64_t>(slice.shard_index);
+    const std::string path =
+        checkpoint_path(config_, "settle", slice.shard_index);
+    auto existing = recovery::read_checkpoint_if_present(path);
+    if (!existing) return Err(existing.error());
+    if (existing->has_value()) {
+      auto chunk = transport::decode_settlement_chunk(**existing);
+      if (!chunk) return Err(chunk.error());
+      Status matches = check_settlement(*chunk, slice, items, config_.fleet);
+      if (!matches.ok()) return Err(matches.error());
+      count(&SupervisionStats::settle_checkpoints_reused);
+      return chunk;
+    }
+    transport::SettlementChunk chunk = settle_items(config_.plan);
+    fire(recovery::kCrashSettleChunkPre, scope);
+    Status wrote = recovery::write_checkpoint(
+        path,
+        transport::encode_settlement_chunk(chunk.chunk_index, chunk.receipts,
+                                           chunk.coded),
+        config_.plan, scope);
+    if (!wrote.ok()) return Err(wrote.error());
+    fire(recovery::kCrashSettleChunkPost, scope);
+    return chunk;
+  }
+
+  Status aggregate(const FleetConfig& fleet, FleetResult& result) override {
+    auto log = recovery::StateLog::open(config_.state_dir, "ofcs",
+                                        config_.plan, /*scope=*/0);
+    if (!log) return Err(log.error());
+    epc::Ofcs ofcs(detail::fleet_plan(fleet));
+    if (Status s = ofcs.attach_recovery(&*log); !s.ok()) return s;
+    const int every = std::max(1, config_.checkpoint_every_cycles);
+    Status checkpoint_error = Status::Ok();
+    detail::aggregate_fleet(fleet, ofcs, result,
+                            [&ofcs, &checkpoint_error, every](int cycle) {
+                              if ((cycle + 1) % every != 0) return;
+                              Status s = ofcs.checkpoint();
+                              if (!s.ok() && checkpoint_error.ok()) {
+                                checkpoint_error = s;
+                              }
+                            });
+    if (!ofcs.recovery_error().ok()) return ofcs.recovery_error();
+    if (!checkpoint_error.ok()) return checkpoint_error;
+    util::MutexLock lock(mu_);
+    stats_->duplicate_ops_dropped += ofcs.duplicate_ops_dropped();
+    return Status::Ok();
+  }
+
+ private:
+  void fire(const char* point, std::uint64_t scope) const {
+    if (config_.plan != nullptr) config_.plan->fire(point, scope);
+  }
+
+  template <typename Counter>
+  void count(Counter SupervisionStats::*counter) {
+    util::MutexLock lock(mu_);
+    ++(stats_->*counter);
+  }
+
+  const SupervisorConfig& config_;
+  util::Mutex mu_;
+  // Bumped from concurrent shard jobs; every counter is a sum, so the
+  // totals do not depend on the order the jobs finish in.
+  SupervisionStats* const stats_ TLC_PT_GUARDED_BY(mu_);
 };
-
-SliceOutcome run_one_shard(const SupervisorConfig& config,
-                           const detail::ShardSlice& slice) {
-  SliceOutcome out;
-  const auto scope = static_cast<std::uint64_t>(slice.shard_index);
-  const std::string ckpt_path =
-      shard_checkpoint_path(config, slice.shard_index);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      auto existing = recovery::read_checkpoint_if_present(ckpt_path);
-      if (!existing) {
-        out.error = Err(existing.error());
-        return out;
-      }
-      if (existing->has_value()) {
-        auto records = decode_shard_records(**existing);
-        if (!records) {
-          // The rename protocol never leaves a torn checkpoint, so a
-          // corrupt one means the storage lied — surface it.
-          out.error = Err(records.error());
-          return out;
-        }
-        Status matches = check_shard_records(*records, slice, config.fleet);
-        if (!matches.ok()) {
-          out.error = matches;
-          return out;
-        }
-        out.records = std::move(*records);
-        out.reused_checkpoint = true;
-        return out;
-      }
-      if (config.plan != nullptr) {
-        config.plan->fire(recovery::kCrashShardRun, scope);
-      }
-      std::vector<UeRecord> records =
-          detail::run_shard_slice(config.fleet, slice);
-      if (config.plan != nullptr) {
-        config.plan->fire(recovery::kCrashShardWedge, scope);
-      }
-      Status wrote = recovery::write_checkpoint(
-          ckpt_path, encode_shard_records(records), config.plan, scope);
-      if (!wrote.ok()) {
-        out.error = wrote;
-        return out;
-      }
-      out.records = std::move(records);
-      return out;
-    } catch (const recovery::WedgeException& wedge) {
-      // Watchdog deadline: the shard hung, restart it from its last
-      // checkpoint (i.e. from scratch — shards checkpoint only whole).
-      ++out.wedges;
-      ++out.restarts;
-      TLC_WARN("fleet") << "shard " << slice.shard_index << " wedged at "
-                        << wedge.site.point << ", restarting (attempt "
-                        << (attempt + 1) << ")";
-      if (attempt + 1 >= config.max_shard_retries) {
-        out.error = Err("supervisor: shard wedged past the watchdog budget");
-        return out;
-      }
-    } catch (const recovery::CrashException& crash) {
-      out.kill = crash;
-      return out;
-    }
-  }
-}
-
-// Runs the shard phase. Throws CrashException when any worker died;
-// returns a Status error for non-crash failures.
-Status run_shard_phase(const SupervisorConfig& config,
-                       const std::vector<detail::ShardSlice>& slices,
-                       SupervisionStats& stats, FleetResult& result) {
-  std::vector<SliceOutcome> slots(slices.size());
-  {
-    ThreadPool pool(config.fleet.threads);
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      const detail::ShardSlice slice = slices[i];
-      SliceOutcome* slot = &slots[i];
-      pool.submit([&config, slice, slot] {
-        *slot = run_one_shard(config, slice);
-      });
-    }
-    pool.wait_idle();
-  }
-
-  // Fold stats first (in shard order), then report the death: every
-  // kill in a dying incarnation replicates the same site, so throwing
-  // the first one loses nothing.
-  std::optional<recovery::CrashException> kill;
-  Status error = Status::Ok();
-  for (SliceOutcome& slot : slots) {
-    stats.wedges += slot.wedges;
-    stats.shard_restarts += slot.restarts;
-    if (slot.reused_checkpoint) ++stats.shard_checkpoints_reused;
-    if (slot.kill.has_value() && !kill.has_value()) kill = slot.kill;
-    if (!slot.error.ok() && error.ok()) error = slot.error;
-  }
-  if (kill.has_value()) throw *kill;
-  if (!error.ok()) return error;
-
-  result.records.reserve(
-      static_cast<std::size_t>(std::max(0, config.fleet.ue_count)));
-  for (SliceOutcome& slot : slots) {
-    for (UeRecord& record : slot.records) {
-      result.records.push_back(std::move(record));
-    }
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------
-// Settlement phase: chunks of whole UE groups, journaled as they
-// finish, recovered chunks spliced back byte-for-byte.
-// ---------------------------------------------------------------------
-
-Status run_settle_phase(const SupervisorConfig& config,
-                        SupervisionStats& stats, FleetResult& result) {
-  const std::vector<core::SettlementItem> items =
-      detail::settlement_items(result.records, config.fleet);
-
-  auto journal = transport::SettlementJournal::open(
-      settle_journal_path(config), config.plan, /*scope=*/0);
-  if (!journal) return Err(journal.error());
-  stats.settle_chunks_recovered += journal->recovered().size();
-
-  // Chunk boundaries: groups of `settle_chunk_ues` consecutive whole
-  // UE groups, derived from the (pure) item list — identical in every
-  // incarnation, which is what makes chunk indices stable journal keys.
-  const std::size_t chunk_ues = std::max<std::size_t>(1, config.settle_chunk_ues);
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  for (std::size_t i = 0; i < items.size();) {
-    std::size_t j = i;
-    for (std::size_t ues = 0; j < items.size() && ues < chunk_ues; ++ues) {
-      const std::uint64_t ue = items[j].ue_id;
-      while (j < items.size() && items[j].ue_id == ue) ++j;
-    }
-    chunks.emplace_back(i, j);
-    i = j;
-  }
-
-  const core::RsaKeyCache keys(config.fleet.rsa_bits,
-                               config.fleet.key_cache_slots,
-                               detail::key_cache_seed(config.fleet));
-  const core::BatchConfig batch = detail::make_batch_config(config.fleet);
-
-  result.receipts.clear();
-  result.receipts.reserve(items.size());
-  for (std::size_t chunk_index = 0; chunk_index < chunks.size();
-       ++chunk_index) {
-    const auto recovered =
-        journal->recovered().find(static_cast<std::uint32_t>(chunk_index));
-    if (recovered != journal->recovered().end()) {
-      result.receipts.insert(result.receipts.end(),
-                             recovered->second.receipts.begin(),
-                             recovered->second.receipts.end());
-      result.coded_totals += recovered->second.coded;
-      continue;
-    }
-    const auto [begin, end] = chunks[chunk_index];
-    const std::vector<core::SettlementItem> chunk_items(
-        items.begin() + static_cast<std::ptrdiff_t>(begin),
-        items.begin() + static_cast<std::ptrdiff_t>(end));
-    transport::LossyBatchReport report =
-        detail::settle_batch(config.fleet, batch, keys, chunk_items,
-                             config.fleet.threads, config.plan);
-    Status journaled = journal->record_chunk(
-        static_cast<std::uint32_t>(chunk_index), report.receipts,
-        report.coded);
-    if (!journaled.ok()) return journaled;
-    result.receipts.insert(result.receipts.end(), report.receipts.begin(),
-                           report.receipts.end());
-    result.coded_totals += report.coded;
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------
-// One incarnation: shards → settlement → OFCS aggregation, resuming
-// from whatever previous incarnations made durable.
-// ---------------------------------------------------------------------
-
-Expected<FleetResult> run_attempt(const SupervisorConfig& config,
-                                  SupervisionStats& stats) {
-  FleetResult result;
-  const std::vector<detail::ShardSlice> slices =
-      detail::partition_shards(config.fleet);
-  if (slices.empty()) return result;
-
-  Status shard_status = run_shard_phase(config, slices, stats, result);
-  if (!shard_status.ok()) return Err(shard_status.error());
-
-  detail::collect_gap_samples(result.records, result.gap_samples);
-
-  if (config.fleet.settle) {
-    Status settle_status = run_settle_phase(config, stats, result);
-    if (!settle_status.ok()) return Err(settle_status.error());
-  }
-
-  auto log = recovery::StateLog::open(config.state_dir, "ofcs", config.plan,
-                                      /*scope=*/0);
-  if (!log) return Err(log.error());
-  epc::Ofcs ofcs(detail::fleet_plan(config.fleet));
-  Status attached = ofcs.attach_recovery(&*log);
-  if (!attached.ok()) return Err(attached.error());
-
-  const int every = std::max(1, config.checkpoint_every_cycles);
-  Status checkpoint_error = Status::Ok();
-  detail::aggregate_fleet(config.fleet, ofcs, result,
-                          [&ofcs, &checkpoint_error, every](int cycle) {
-                            if ((cycle + 1) % every != 0) return;
-                            Status s = ofcs.checkpoint();
-                            if (!s.ok() && checkpoint_error.ok()) {
-                              checkpoint_error = s;
-                            }
-                          });
-  if (!ofcs.recovery_error().ok()) {
-    return Err(ofcs.recovery_error().error());
-  }
-  if (!checkpoint_error.ok()) return Err(checkpoint_error.error());
-  stats.duplicate_ops_dropped += ofcs.duplicate_ops_dropped();
-
-  detail::compute_digests(result);
-  return result;
-}
 
 void remove_state_files(const SupervisorConfig& config,
                         const std::vector<detail::ShardSlice>& slices) {
@@ -485,9 +386,9 @@ void remove_state_files(const SupervisorConfig& config,
     (void)util::remove_file(path + ".tmp");
   };
   for (const detail::ShardSlice& slice : slices) {
-    drop(shard_checkpoint_path(config, slice.shard_index));
+    drop(checkpoint_path(config, "shard", slice.shard_index));
+    drop(checkpoint_path(config, "settle", slice.shard_index));
   }
-  drop(settle_journal_path(config));
   drop(config.state_dir + "/ofcs.ckpt");
   drop(config.state_dir + "/ofcs.wal");
 }
@@ -509,7 +410,8 @@ Expected<SupervisedResult> run_supervised_fleet(
     ++stats.incarnations;
     if (config.plan != nullptr) config.plan->begin_incarnation();
     try {
-      auto result = run_attempt(config, stats);
+      OnDiskDurability durability(config, stats);
+      auto result = detail::drive_fleet(config.fleet, durability);
       if (!result) return Err(result.error());
       remove_state_files(config, detail::partition_shards(config.fleet));
       return SupervisedResult{std::move(*result), stats};
@@ -519,9 +421,9 @@ Expected<SupervisedResult> run_supervised_fleet(
                         << crash.site.point << " scope " << crash.site.scope
                         << " hit " << crash.site.hit << "; restarting";
     } catch (const recovery::WedgeException& wedge) {
-      // A wedge outside any shard (journal/checkpoint write hung):
-      // the supervisor-level deadline fires and the incarnation
-      // restarts wholesale.
+      // A wedge outside any shard job (an OFCS journal or checkpoint
+      // write hung): the supervisor-level deadline fires and the
+      // incarnation restarts wholesale.
       ++stats.wedges;
       TLC_WARN("fleet") << "incarnation " << incarnation << " wedged at "
                         << wedge.site.point << "; restarting";

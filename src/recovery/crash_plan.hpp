@@ -35,9 +35,11 @@ namespace tlc::recovery {
 // ---------------------------------------------------------------------
 // Crash-point taxonomy (DESIGN.md §11.3). Scope conventions:
 //   journal/checkpoint points   scope = owner id (0 for the OFCS log,
-//                               shard index for shard checkpoints)
+//                               shard index for shard and settle
+//                               checkpoints)
 //   shard points                scope = shard index
-//   settle points               scope = slice index (chunk) or UE id
+//   settle-chunk points         scope = shard index
+//   settle-cycle, coded points  scope = UE id
 // ---------------------------------------------------------------------
 
 /// Before a journal frame is written: the op is lost entirely.
@@ -60,9 +62,9 @@ inline constexpr const char* kCrashShardRun = "shard-run";
 inline constexpr const char* kCrashShardWedge = "shard-wedge";
 /// At a settlement cycle boundary inside the runner (mid-negotiation).
 inline constexpr const char* kCrashSettleCycle = "settle-cycle";
-/// Settlement chunk computed, receipts not yet journaled.
+/// A shard's settlement computed, its settle checkpoint not yet written.
 inline constexpr const char* kCrashSettleChunkPre = "settle-chunk-pre";
-/// Settlement chunk journaled, before the supervisor consumes it.
+/// Settle checkpoint written, before the shard job hands it to the merge.
 inline constexpr const char* kCrashSettleChunkPost = "settle-chunk-post";
 /// Coded receiver holds an innovative packet it has not journaled yet
 /// (§17.4): the packet dies with the process and its rank must be

@@ -1,26 +1,13 @@
-// Durable settlement progress: receipts journaled per chunk so a
-// crashed settlement pass resumes instead of re-negotiating.
-//
-// The supervised fleet splits a settlement pass into chunks of whole
-// UE groups. Each chunk's receipts are journaled as one record the
-// moment the chunk finishes; a process that dies mid-pass replays the
-// journal, keeps the finished chunks' receipts byte-for-byte, and
-// re-runs only the unfinished chunks. That is sound because a UE
-// group is a pure function of its inputs (batch_settlement.hpp /
-// lossy_settlement.hpp determinism contracts): re-running a chunk in a
-// new incarnation yields the receipts the dead incarnation would have
-// produced, so the spliced result is bit-identical to a crash-free
-// pass — including every PoC byte.
+// Wire codec for settlement receipts and for one shard's settled batch,
+// which the supervised fleet checkpoints per shard. Receipts are pure
+// functions of their inputs, so a checkpoint spliced back in is
+// bit-identical to re-settling the shard — every PoC byte included.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/batch_settlement.hpp"
-#include "recovery/crash_plan.hpp"
-#include "recovery/journal.hpp"
 #include "transport/transport_config.hpp"
 #include "util/expected.hpp"
 #include "util/serde.hpp"
@@ -32,50 +19,20 @@ namespace tlc::transport {
 void write_receipt(ByteWriter& w, const core::SettlementReceipt& receipt);
 [[nodiscard]] Expected<core::SettlementReceipt> read_receipt(ByteReader& r);
 
-/// One journaled settlement chunk: the receipts plus the coded-path
-/// census the chunk's transfers accumulated (all-zero when the chunk
-/// settled stop-and-wait or in-process). Splicing the counters back
-/// keeps supervised coded runs byte-identical to detached ones.
-struct RecoveredChunk {
+/// One shard's settled batch (`chunk_index` = shard index): receipts
+/// plus the coded-path census, all-zero off the coded path. Splicing
+/// the counters back keeps supervised coded runs byte-identical.
+struct SettlementChunk {
+  std::uint32_t chunk_index = 0;
   std::vector<core::SettlementReceipt> receipts;
   CodedCounters coded;
 };
 
-class SettlementJournal {
- public:
-  /// Opens `path`, replaying any chunks a previous incarnation left
-  /// behind into `recovered()`.
-  [[nodiscard]] static Expected<SettlementJournal> open(
-      const std::string& path, recovery::CrashPlan* plan = nullptr,
-      std::uint64_t scope = 0);
-
-  /// Chunks recovered at open, keyed by chunk index.
-  [[nodiscard]] const std::map<std::uint32_t, RecoveredChunk>& recovered()
-      const {
-    return recovered_;
-  }
-
-  /// Journals one finished chunk. Crash points bracket the append
-  /// (settle-chunk-pre: work lost, chunk re-runs; settle-chunk-post:
-  /// work durable, replay must not double-count it).
-  [[nodiscard]] Status record_chunk(
-      std::uint32_t chunk_index,
-      const std::vector<core::SettlementReceipt>& receipts,
-      const CodedCounters& coded = CodedCounters{});
-
-  /// Empties the journal once the pass's receipts are consumed
-  /// downstream (the OFCS ledger journals its own ops from here on).
-  [[nodiscard]] Status reset();
-
- private:
-  SettlementJournal(recovery::Journal journal, recovery::CrashPlan* plan,
-                    std::uint64_t scope)
-      : journal_(std::move(journal)), plan_(plan), scope_(scope) {}
-
-  recovery::Journal journal_;
-  recovery::CrashPlan* plan_ = nullptr;
-  std::uint64_t scope_ = 0;
-  std::map<std::uint32_t, RecoveredChunk> recovered_;
-};
+[[nodiscard]] Bytes encode_settlement_chunk(
+    std::uint32_t chunk_index,
+    const std::vector<core::SettlementReceipt>& receipts,
+    const CodedCounters& coded);
+[[nodiscard]] Expected<SettlementChunk> decode_settlement_chunk(
+    const Bytes& data);
 
 }  // namespace tlc::transport

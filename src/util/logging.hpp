@@ -1,8 +1,9 @@
 // Leveled logging for the library.
 //
 // Defaults to Warn so tests and benches stay quiet; examples raise the
-// level to show the protocol in action. Not thread-safe by design — the
-// simulator is single-threaded.
+// level to show the protocol in action. The level is atomic: both fleet
+// drivers log from pool workers while a caller may change it. Each line
+// is a single fprintf, which stdio serialises against other lines.
 #pragma once
 
 #include <sstream>

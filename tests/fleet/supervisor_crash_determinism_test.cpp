@@ -10,9 +10,12 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "fleet/engine.hpp"
+#include "recovery/checkpoint.hpp"
 #include "recovery/crash_plan.hpp"
+#include "transport/settlement_journal.hpp"
 #include "util/bytes.hpp"
 
 namespace tlc::fleet {
@@ -145,7 +148,6 @@ TEST_F(SupervisorCrashDeterminismTest, SeededPlansSingleThreaded) {
     config.fleet = soak_fleet(1, false);
     config.state_dir = state_dir_for("single", seed);
     config.plan = &plan;
-    config.settle_chunk_ues = 2;  // more chunk boundaries to resume at
     auto supervised = run_supervised_fleet(config);
     ASSERT_TRUE(supervised.has_value())
         << "seed " << seed << ": " << supervised.error();
@@ -278,13 +280,16 @@ TEST_F(SupervisorCrashDeterminismTest, WedgedShardRestartsWithoutNewIncarnation)
 }
 
 TEST_F(SupervisorCrashDeterminismTest, CheckpointsAreActuallyReused) {
-  // Kill during settlement: the shard phase finished and checkpointed,
-  // so the next incarnation must reuse every shard checkpoint instead
-  // of re-simulating.
-  recovery::CrashPlan plan;
-  plan.arm({recovery::kCrashSettleChunkPost, 0, 0, recovery::CrashKind::Kill});
+  // One worker runs the shard jobs in order, so a kill once the last
+  // shard's settlement is checkpointed leaves every job's records and
+  // receipts on disk: the next incarnation must reuse all of them
+  // instead of re-simulating or re-negotiating.
   SupervisorConfig config;
-  config.fleet = soak_fleet(2, false);
+  config.fleet = soak_fleet(1, false);
+  recovery::CrashPlan plan;
+  plan.arm({recovery::kCrashSettleChunkPost,
+            static_cast<std::uint64_t>(config.fleet.shards - 1), 0,
+            recovery::CrashKind::Kill});
   config.state_dir = state_dir_for("reuse", 1);
   config.plan = &plan;
   auto supervised = run_supervised_fleet(config);
@@ -292,7 +297,8 @@ TEST_F(SupervisorCrashDeterminismTest, CheckpointsAreActuallyReused) {
   expect_identical(supervised->result, *lossless_, "checkpoint reuse");
   EXPECT_EQ(supervised->stats.shard_checkpoints_reused,
             static_cast<std::size_t>(config.fleet.shards));
-  EXPECT_GE(supervised->stats.settle_chunks_recovered, 1u);
+  EXPECT_EQ(supervised->stats.settle_checkpoints_reused,
+            static_cast<std::size_t>(config.fleet.shards));
 }
 
 TEST_F(SupervisorCrashDeterminismTest, StaleCheckpointOfAnotherShapeIsRejected) {
@@ -318,6 +324,35 @@ TEST_F(SupervisorCrashDeterminismTest, StaleCheckpointOfAnotherShapeIsRejected) 
   EXPECT_NE(supervised.error().find("shard checkpoint"), std::string::npos)
       << supervised.error();
   std::filesystem::remove_all(dead.state_dir);
+}
+
+TEST_F(SupervisorCrashDeterminismTest, MismatchedSettleCheckpointIsRejected) {
+  // A run dies for good once shard 0 has checkpointed its records...
+  recovery::CrashPlan plan;
+  plan.arm({recovery::kCrashSettleChunkPre, 0, 0, recovery::CrashKind::Kill});
+  SupervisorConfig config;
+  config.fleet = soak_fleet(2, false);
+  config.state_dir = state_dir_for("short_settle", 1);
+  std::filesystem::remove_all(config.state_dir);
+  config.plan = &plan;
+  config.max_incarnations = 1;
+  ASSERT_FALSE(run_supervised_fleet(config).has_value());
+
+  // ...and shard 0's settle checkpoint is one receipt short of its
+  // 2 UEs x 2 cycles, so the rerun must refuse to splice it.
+  const std::vector<core::SettlementReceipt> receipts(
+      lossless_->receipts.begin(), lossless_->receipts.begin() + 3);
+  ASSERT_TRUE(recovery::write_checkpoint(
+                  config.state_dir + "/settle-0.ckpt",
+                  transport::encode_settlement_chunk(0, receipts, {}))
+                  .ok());
+  config.plan = nullptr;
+  auto supervised = run_supervised_fleet(config);
+  ASSERT_FALSE(supervised.has_value());
+  EXPECT_NE(supervised.error().find("settlement checkpoint:"),
+            std::string::npos)
+      << supervised.error();
+  std::filesystem::remove_all(config.state_dir);
 }
 
 }  // namespace
