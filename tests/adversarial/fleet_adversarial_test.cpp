@@ -65,6 +65,23 @@ TEST(FleetAdversarialTest, ByzantineFleetIsThreadCountInvariant) {
   }
 }
 
+// Pinned constants, not a run-against-run comparison: a change that
+// shifted the byzantine fleet's draws the same way at every thread count
+// would pass the invariance test above but not this one. Captured before
+// the shard world moved into testbed::Cell.
+TEST(FleetAdversarialTest, ByzantineFleetMatchesPinnedDigests) {
+  const FleetResult result = run_fleet(byzantine_fleet(1));
+  EXPECT_EQ(to_hex(result.measurement_digest),
+            "2af62f08a3cb2cee1f6ca38b27830a8f3574f8b48b895036d4f8b182adc42a02");
+  EXPECT_EQ(to_hex(result.cdf_digest),
+            "8a863b9d461dd7d73113d19d1a61e1189d8d76064865650f1fbca703c8f960ee");
+  EXPECT_EQ(to_hex(result.poc_digest),
+            "149821c0343a1f74d9ae8ab300bbb4460fd2420c543926cadf94a17de50616d2");
+  EXPECT_EQ(to_hex(result.anomaly_digest),
+            "e5ce0069c7c5187d1be645d46266a2676846ba690adee94ee6fa1b7065c2972a");
+  EXPECT_EQ(result.totals.billed_bytes, 56691286u);
+}
+
 TEST(FleetAdversarialTest, DetachedMatchesSupervised) {
   const FleetResult reference = run_fleet(byzantine_fleet(2));
   for (unsigned threads : {1u, 4u}) {
