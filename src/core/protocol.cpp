@@ -74,8 +74,9 @@ void ProtocolEndpoint::send_wire(const Bytes& wire) {
 void ProtocolEndpoint::fail(const std::string& reason) {
   state_ = EndpointState::Failed;
   if (failure_reason_.empty()) failure_reason_ = reason;
-  TLC_WARN("tlc-proto") << role_name(config_.role)
-                        << " negotiation failed: " << reason;
+  // Debug: the receipt carries the reason and the OFCS census counts it.
+  TLC_DEBUG("tlc-proto") << role_name(config_.role)
+                         << " negotiation failed: " << reason;
 }
 
 Status ProtocolEndpoint::reject_tamper(const std::string& reason) {

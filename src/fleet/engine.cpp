@@ -227,7 +227,6 @@ transport::LossyBatchReport settle_batch(
   }
   transport::LossyBatchReport report;
   report.receipts = core::BatchSettler(batch, keys).settle(items, 1);
-  transport::fill_census(report);
   return report;
 }
 

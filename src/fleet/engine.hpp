@@ -42,9 +42,11 @@ struct FleetResult {
   std::vector<std::vector<std::pair<epc::Imsi, epc::BillLine>>> bills;
   epc::Ofcs::FleetTotals totals;
 
-  /// Settlement outcome census (§8): per-cycle and aggregate. All
-  /// Converged on a lossless run; Retried/Degraded/RejectedTamper
-  /// appear once config.lossy_transport injects faults.
+  /// Settlement outcome census (§8): per-cycle and aggregate, counted
+  /// by the OFCS from the receipts. Retried and RejectedTamper need
+  /// faults from config.lossy_transport; Degraded does not, because a
+  /// negotiation that fails degrades its cycle on a lossless run too
+  /// (sim_heavy at seed 1: 30 of 2048).
   std::vector<epc::SettlementCounters> settlement_by_cycle;
   epc::SettlementCounters settlement_totals;
 

@@ -57,7 +57,9 @@ struct FleetConfig {
   /// down must not change it.
   int shards = 8;
 
-  /// Worker threads for the shard runs and batch settlement.
+  /// Worker threads running the shard jobs. A job simulates its shard
+  /// and then settles that shard's UEs on the same thread; there is no
+  /// separate settlement pool.
   unsigned threads = 1;
 
   /// Master seed; every shard / UE / settlement stream derives from it
@@ -86,8 +88,10 @@ struct FleetConfig {
   std::size_t key_cache_slots = 4;
 
   /// Settle over the fault-injected transport (§8) instead of the
-  /// in-process pump. With all-zero fault rates the receipts are
-  /// bit-identical to the lossless path.
+  /// in-process pump. With all-zero fault rates the receipts match the
+  /// lossless path only while every cycle converges: after a failed
+  /// cycle the lossless core::BatchSettler gives up on the UE's later
+  /// cycles, while this path negotiates each one.
   bool lossy_transport = false;
   /// Fault rates, retry policy and transport seed when lossy_transport
   /// is on. Fault schedules derive from (transport.seed, ue, message

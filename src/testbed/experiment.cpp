@@ -24,33 +24,29 @@ CycleOutcome evaluate_scheme(const CycleMeasurements& cycle, Scheme scheme,
   outcome.expected =
       charging::expected_charge(cycle.true_sent, cycle.true_received, c);
 
+  const auto negotiate = [&](core::Strategy& edge, core::Strategy& op) {
+    const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
+    const core::UsageView op_view{cycle.op_sent, cycle.op_received};
+    const auto result = core::negotiate(edge, edge_view, op, op_view,
+                                        core::NegotiationConfig{c, 64, 0});
+    outcome.charged = result.charged;
+    outcome.rounds = result.rounds;
+    outcome.completed = result.completed;
+  };
   switch (scheme) {
-    case Scheme::Legacy: {
+    case Scheme::Legacy:
       outcome.charged = core::legacy_charge(cycle.gateway_volume);
       break;
-    }
     case Scheme::TlcOptimal: {
       core::OptimalStrategy edge;
       core::OptimalStrategy op;
-      const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
-      const core::UsageView op_view{cycle.op_sent, cycle.op_received};
-      const auto result = core::negotiate(edge, edge_view, op, op_view,
-                                          core::NegotiationConfig{c, 64, 0});
-      outcome.charged = result.charged;
-      outcome.rounds = result.rounds;
-      outcome.completed = result.completed;
+      negotiate(edge, op);
       break;
     }
     case Scheme::TlcRandom: {
       core::RandomSelfishStrategy edge(rng.fork());
       core::RandomSelfishStrategy op(rng.fork());
-      const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
-      const core::UsageView op_view{cycle.op_sent, cycle.op_received};
-      const auto result = core::negotiate(edge, edge_view, op, op_view,
-                                          core::NegotiationConfig{c, 64, 0});
-      outcome.charged = result.charged;
-      outcome.rounds = result.rounds;
-      outcome.completed = result.completed;
+      negotiate(edge, op);
       break;
     }
   }
@@ -62,6 +58,22 @@ CycleOutcome evaluate_scheme(const CycleMeasurements& cycle, Scheme scheme,
   outcome.gap_mb_per_hr = hours > 0 ? outcome.gap_mb / hours : 0.0;
   outcome.gap_ratio = charging::gap_ratio(outcome.charged, outcome.expected);
   return outcome;
+}
+
+std::map<Scheme, std::vector<CycleOutcome>> evaluate_schemes(
+    const std::vector<CycleMeasurements>& cycles,
+    const std::vector<Scheme>& schemes, double c, SimTime cycle_length,
+    Rng& rng) {
+  std::map<Scheme, std::vector<CycleOutcome>> outcomes;
+  for (Scheme scheme : schemes) {
+    auto& scheme_outcomes = outcomes[scheme];
+    scheme_outcomes.reserve(cycles.size());
+    for (const CycleMeasurements& cycle : cycles) {
+      scheme_outcomes.push_back(
+          evaluate_scheme(cycle, scheme, c, cycle_length, rng));
+    }
+  }
+  return outcomes;
 }
 
 double ExperimentResult::mean_gap_mb_per_hr(Scheme scheme) const {
@@ -97,14 +109,8 @@ ExperimentResult run_experiment(const ScenarioConfig& config,
   result.cycles = testbed.run();
 
   Rng scheme_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
-  for (Scheme scheme : schemes) {
-    auto& outcomes = result.outcomes[scheme];
-    outcomes.reserve(result.cycles.size());
-    for (const CycleMeasurements& cycle : result.cycles) {
-      outcomes.push_back(evaluate_scheme(cycle, scheme, config.plan_c,
-                                         config.cycle_length, scheme_rng));
-    }
-  }
+  result.outcomes = evaluate_schemes(result.cycles, schemes, config.plan_c,
+                                     config.cycle_length, scheme_rng);
   return result;
 }
 

@@ -35,6 +35,13 @@ struct CycleOutcome {
                                            Scheme scheme, double c,
                                            SimTime cycle_length, Rng& rng);
 
+/// Evaluates each scheme on every cycle, scheme by scheme, all drawing
+/// from `rng`.
+[[nodiscard]] std::map<Scheme, std::vector<CycleOutcome>> evaluate_schemes(
+    const std::vector<CycleMeasurements>& cycles,
+    const std::vector<Scheme>& schemes, double c, SimTime cycle_length,
+    Rng& rng);
+
 struct ExperimentResult {
   ScenarioConfig config;
   std::vector<CycleMeasurements> cycles;

@@ -1,30 +1,20 @@
-// The emulated testbed of §7 / Figure 11, assembled.
+// The emulated testbed of §7 / Figure 11: one `Cell` serving the
+// metered application device and a second phone absorbing iperf
+// background traffic.
 //
-// One small cell (eNodeB) + EPC function nodes (HSS, MME, PCRF, SPGW,
-// and the charging monitors that feed OFCS/TLC), an edge server
-// co-located with the core, the application device, and a second phone
-// absorbing iperf background traffic.
-//
-// `run()` drives the configured number of charging cycles and returns,
-// per cycle, the ground-truth volumes and each party's sampled
-// measurements — everything the charging schemes (legacy / TLC) need.
+// The testbed draws its whole world from one `Rng` fork chain rooted at
+// the scenario seed, and adds what only it records: a Fig 4 timeline,
+// RTT probes and the measured disconnectivity ratio. `run()` drives the
+// configured number of charging cycles and returns, per cycle, the
+// ground-truth volumes and each party's sampled measurements —
+// everything the charging schemes (legacy / TLC) need.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "epc/enodeb.hpp"
-#include "epc/hss.hpp"
-#include "epc/mme.hpp"
-#include "epc/pcrf.hpp"
-#include "epc/spgw.hpp"
-#include "epc/ue.hpp"
-#include "sim/radio.hpp"
-#include "sim/simulator.hpp"
-#include "testbed/edge_server.hpp"
+#include "testbed/cell.hpp"
 #include "testbed/scenario.hpp"
 #include "testbed/ue_meter.hpp"
-#include "workloads/source.hpp"
 
 namespace tlc::testbed {
 
@@ -58,16 +48,12 @@ class Testbed {
   [[nodiscard]] const std::vector<double>& rtt_ms() const { return rtt_ms_; }
 
   // Component access for tests and examples.
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] epc::EnodeB& enodeb() { return *enodeb_; }
-  [[nodiscard]] epc::Spgw& spgw() { return *spgw_; }
-  [[nodiscard]] epc::Mme& mme() { return *mme_; }
-  [[nodiscard]] epc::Hss& hss() { return hss_; }
-  [[nodiscard]] epc::Pcrf& pcrf() { return pcrf_; }
-  [[nodiscard]] epc::UeDevice& app_ue() { return *app_ue_; }
-  [[nodiscard]] EdgeServer& server() { return *server_; }
-  [[nodiscard]] sim::RadioChannel& app_radio() { return *app_radio_; }
-  [[nodiscard]] const ScenarioConfig& config() const { return config_; }
+  [[nodiscard]] epc::EnodeB& enodeb() { return cell_.enodeb(); }
+  [[nodiscard]] epc::Spgw& spgw() { return cell_.spgw(); }
+  [[nodiscard]] epc::Mme& mme() { return cell_.mme(); }
+  [[nodiscard]] epc::Hss& hss() { return cell_.hss(); }
+  [[nodiscard]] epc::Pcrf& pcrf() { return cell_.pcrf(); }
+  [[nodiscard]] sim::RadioChannel& app_radio() { return *app_.radio; }
   [[nodiscard]] epc::Imsi app_imsi() const { return kAppImsi; }
 
   /// Measured disconnectivity ratio η over the whole run (Fig 14 x-axis).
@@ -79,30 +65,20 @@ class Testbed {
   static constexpr std::uint32_t kAppFlow = 1;
   static constexpr std::uint32_t kBackgroundFlow = 2;
 
-  void wire_attach_handling();
-  void on_app_receive(const sim::Packet& packet);
   void record_timeline_point();
   void send_ping();
 
+  /// The first five forks of `rng_`. Their order is part of the draw
+  /// sequence testbed_golden_test pins.
+  struct Forks {
+    Rng app_radio, bg_radio, enodeb, app_device, bg_device;
+  };
+
   ScenarioConfig config_;
   Rng rng_;
-  sim::Simulator sim_;
-
-  std::unique_ptr<sim::RadioChannel> app_radio_;
-  std::unique_ptr<sim::RadioChannel> bg_radio_;
-  std::unique_ptr<epc::EnodeB> enodeb_;
-  epc::Hss hss_;
-  epc::Pcrf pcrf_;
-  std::unique_ptr<epc::Mme> mme_;
-  std::unique_ptr<epc::Spgw> spgw_;
-  std::unique_ptr<EdgeServer> server_;
-  std::unique_ptr<epc::UeDevice> app_ue_;
-  std::unique_ptr<epc::UeDevice> bg_ue_;
-
-  std::unique_ptr<workloads::TrafficSource> app_source_;
-  std::unique_ptr<workloads::TrafficSource> bg_source_;
-
-  std::unique_ptr<UeMeter> meter_;
+  Forks forks_;
+  Cell cell_;
+  CellUe& app_;
 
   bool ran_ = false;
   std::vector<CycleMeasurements> cycles_;

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#include "workloads/background.hpp"
-#include "workloads/gaming.hpp"
-#include "workloads/trace.hpp"
-#include "workloads/vr_gvsp.hpp"
-#include "workloads/webcam.hpp"
-
 namespace tlc::testbed {
 namespace {
 
@@ -26,68 +20,6 @@ SimTime draw_clamped_offset(const charging::ClockModel& model, Rng& rng,
 
 SimTime max_boundary_offset(SimTime cycle_length) {
   return std::min<SimTime>(kBoundaryGrace - 5 * kSecond, cycle_length / 2);
-}
-
-std::unique_ptr<workloads::TrafficSource> make_background_source(
-    sim::Simulator& sim, sim::Direction direction, double rate_mbps,
-    std::uint32_t flow_id, epc::Imsi imsi, epc::UeDevice& device,
-    epc::Spgw& spgw, Rng& rng) {
-  workloads::TrafficSource::EmitFn sink;
-  if (direction == sim::Direction::Uplink) {
-    sink = [&device](const sim::Packet& p) { device.app_send(p); };
-  } else {
-    // Background downlink arrives from the Internet side of the
-    // gateway, not from the edge server (it must not touch the edge
-    // vendor's netstat counters).
-    sink = [&spgw, imsi](const sim::Packet& p) {
-      spgw.downlink_submit(imsi, p);
-    };
-  }
-  workloads::BackgroundParams params;
-  params.rate_mbps = rate_mbps;
-  return std::make_unique<workloads::BackgroundUdpSource>(
-      sim, sink, flow_id, direction, params, rng.fork());
-}
-
-std::unique_ptr<workloads::TrafficSource> make_app_source(
-    sim::Simulator& sim, const ScenarioConfig& scenario, std::uint32_t flow_id,
-    epc::Imsi imsi, epc::UeDevice& device, EdgeServer& server, Rng& rng) {
-  const sim::Direction direction = app_direction(scenario.app);
-  const sim::Qci qci = app_qci(scenario.app);
-  workloads::TrafficSource::EmitFn sink;
-  if (direction == sim::Direction::Uplink) {
-    sink = [&device](const sim::Packet& p) { device.app_send(p); };
-  } else {
-    sink = [&server, imsi](const sim::Packet& p) { server.app_send(imsi, p); };
-  }
-
-  if (scenario.replay_trace) {
-    // The paper's methodology: loop a captured trace (tcprelay) through
-    // the testbed instead of running a generative model.
-    return std::make_unique<workloads::TraceReplaySource>(
-        sim, sink, flow_id, *scenario.replay_trace, /*loop=*/true);
-  }
-  switch (scenario.app) {
-    case AppKind::WebcamRtsp:
-      return std::make_unique<workloads::WebcamSource>(
-          sim, sink, flow_id, direction, qci, workloads::webcam_rtsp_params(),
-          rng.fork(), "WebCam (RTSP)");
-    case AppKind::WebcamUdp:
-    case AppKind::WebcamUdpDownlink:
-      return std::make_unique<workloads::WebcamSource>(
-          sim, sink, flow_id, direction, qci, workloads::webcam_udp_params(),
-          rng.fork(), "WebCam (UDP)");
-    case AppKind::VrGvsp:
-      return std::make_unique<workloads::VrGvspSource>(
-          sim, sink, flow_id, direction, qci, workloads::VrGvspParams{},
-          rng.fork());
-    case AppKind::GamingQci7:
-    case AppKind::GamingQci9:
-      return std::make_unique<workloads::GamingSource>(
-          sim, sink, flow_id, direction, qci, workloads::GamingParams{},
-          rng.fork());
-  }
-  return nullptr;
 }
 
 UeMeter::UeMeter(sim::Simulator& sim, const ScenarioConfig& scenario,

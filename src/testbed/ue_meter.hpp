@@ -1,6 +1,6 @@
-// Where and when one UE's traffic is counted (§5.4, §7.2): the traffic
-// factories and the metering policy every simulated UE runs, whether it
-// is the single app device of `Testbed` or one member of a fleet shard.
+// Where and when one UE's traffic is counted (§5.4, §7.2): the metering
+// policy every metered UE of a `Cell` runs, whether it is the single app
+// device of `Testbed` or one member of a fleet shard.
 //
 // `UeMeter` owns the counting points (ground truth at the two app
 // endpoints, the SPGW gateway counter for the app's direction, and the
@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "charging/monitors.hpp"
@@ -24,7 +26,6 @@
 #include "sim/simulator.hpp"
 #include "testbed/edge_server.hpp"
 #include "testbed/scenario.hpp"
-#include "workloads/source.hpp"
 
 namespace tlc::testbed {
 
@@ -52,22 +53,6 @@ inline constexpr SimTime kBoundaryGrace = 50 * kSecond;
 /// Largest clock-skew offset a boundary can land away from its nominal
 /// time: a sample must not drift into a neighbouring cycle entirely.
 [[nodiscard]] SimTime max_boundary_offset(SimTime cycle_length);
-
-/// Builds the cell's iperf-like background source at `rate_mbps`:
-/// uplink traffic leaves `device`, downlink enters at the gateway
-/// towards `imsi`. Takes one fork of `rng`.
-[[nodiscard]] std::unique_ptr<workloads::TrafficSource> make_background_source(
-    sim::Simulator& sim, sim::Direction direction, double rate_mbps,
-    std::uint32_t flow_id, epc::Imsi imsi, epc::UeDevice& device,
-    epc::Spgw& spgw, Rng& rng);
-
-/// Builds the app's workload source for `scenario` on `flow_id`:
-/// uplink traffic leaves through `device`, downlink through `server`
-/// towards `imsi`. A trace replay draws nothing; every generative
-/// model takes one fork of `rng`.
-[[nodiscard]] std::unique_ptr<workloads::TrafficSource> make_app_source(
-    sim::Simulator& sim, const ScenarioConfig& scenario, std::uint32_t flow_id,
-    epc::Imsi imsi, epc::UeDevice& device, EdgeServer& server, Rng& rng);
 
 /// One UE's counting points and cycle samplers. Every referenced
 /// component must outlive the meter.
@@ -102,7 +87,7 @@ class UeMeter {
       std::string name, std::function<std::uint64_t()> reader);
 
   sim::Simulator& sim_;
-  const ScenarioConfig& scenario_;
+  const ScenarioConfig scenario_;
   epc::Imsi imsi_;
 
   // Operator's tamper-resilient monitors (fed by COUNTER CHECK).

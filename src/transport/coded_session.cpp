@@ -537,7 +537,6 @@ LossyBatchReport CodedSettler::settle(
   for (const CodedCounters& group_counters : counters) {
     report.coded += group_counters;
   }
-  fill_census(report);
   return report;
 }
 

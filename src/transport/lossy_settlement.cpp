@@ -7,25 +7,6 @@
 
 namespace tlc::transport {
 
-void fill_census(LossyBatchReport& report) {
-  for (const core::SettlementReceipt& receipt : report.receipts) {
-    switch (receipt.outcome) {
-      case core::SettleOutcome::Converged:
-        ++report.converged;
-        break;
-      case core::SettleOutcome::Retried:
-        ++report.retried;
-        break;
-      case core::SettleOutcome::Degraded:
-        ++report.degraded;
-        break;
-      case core::SettleOutcome::RejectedTamper:
-        ++report.rejected_tamper;
-        break;
-    }
-  }
-}
-
 LossySettler::LossySettler(core::BatchConfig config, TransportConfig transport,
                            const core::RsaKeyCache& keys)
     : config_(config), transport_(transport), keys_(keys) {}
@@ -98,7 +79,6 @@ LossyBatchReport LossySettler::settle(
   };
 
   core::run_groups(groups, threads, run_group);
-  fill_census(report);
   return report;
 }
 

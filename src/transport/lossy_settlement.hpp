@@ -29,21 +29,14 @@
 
 namespace tlc::transport {
 
-/// Receipts plus the per-outcome census (§8 settlement counters) and
-/// the coded-path census (§17; all-zero from LossySettler itself and
-/// whenever TransportConfig::coding is off).
+/// Receipts, in input order, plus the coded-path census (§17; all-zero
+/// from LossySettler itself and whenever TransportConfig::coding is
+/// off). The per-outcome census is the OFCS's, counted from the
+/// receipts (Ofcs::record_settlement).
 struct LossyBatchReport {
   std::vector<core::SettlementReceipt> receipts;
-  std::size_t converged = 0;
-  std::size_t retried = 0;
-  std::size_t degraded = 0;
-  std::size_t rejected_tamper = 0;
   CodedCounters coded;
 };
-
-/// Fills the per-outcome census from the receipts, in input order — a
-/// pure function of the receipts.
-void fill_census(LossyBatchReport& report);
 
 class LossySettler {
  public:
