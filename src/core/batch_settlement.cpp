@@ -48,6 +48,23 @@ const char* settle_outcome_name(SettleOutcome outcome) {
   return "?";
 }
 
+void SettlementCounters::count(SettleOutcome outcome) {
+  switch (outcome) {
+    case SettleOutcome::Converged:
+      ++converged;
+      return;
+    case SettleOutcome::Retried:
+      ++retried;
+      return;
+    case SettleOutcome::Degraded:
+      ++degraded;
+      return;
+    case SettleOutcome::RejectedTamper:
+      ++rejected_tamper;
+      return;
+  }
+}
+
 std::unique_ptr<TlcSession> make_batch_session(const BatchConfig& config,
                                                const RsaKeyCache& keys,
                                                std::uint64_t ue_id,
@@ -200,10 +217,21 @@ void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
   receipt.outcome = SettleOutcome::Converged;
 }
 
-/// All cycles of one group, local FIFO pump (the thread-worker path).
-void run_group(Group& group, const UeGroup& ue_group,
+/// All cycles of one UE through a fresh session pair and a local FIFO
+/// pump.
+void run_group(const BatchConfig& config, const RsaKeyCache& keys,
+               const UeGroup& ue_group,
                const std::vector<SettlementItem>& items,
                std::vector<SettlementReceipt>& receipts) {
+  Group group;
+  group.edge = make_batch_session(config, keys, ue_group.ue_id,
+                                  PartyRole::EdgeVendor);
+  group.op =
+      make_batch_session(config, keys, ue_group.ue_id, PartyRole::Operator);
+  group.edge->set_send(
+      [&group](const Bytes& m) { group.wire.emplace_back(false, m); });
+  group.op->set_send(
+      [&group](const Bytes& m) { group.wire.emplace_back(true, m); });
   for (std::size_t item_index : ue_group.item_indices) {
     if (!begin_group_cycle(group, items[item_index])) {
       poison(group, "cycle could not start");
@@ -225,67 +253,8 @@ std::vector<SettlementReceipt> BatchSettler::settle(
   std::vector<SettlementReceipt> receipts(items.size());
 
   const std::deque<UeGroup> ue_groups = group_by_ue(items, receipts);
-  // Sized once, so Group addresses stay stable for the send closures.
-  std::vector<Group> groups(ue_groups.size());
-  for (std::size_t g = 0; g < ue_groups.size(); ++g) {
-    Group& group = groups[g];
-    const std::uint64_t ue = ue_groups[g].ue_id;
-    group.edge = make_batch_session(config_, keys_, ue, PartyRole::EdgeVendor);
-    group.op = make_batch_session(config_, keys_, ue, PartyRole::Operator);
-    Group* raw = &group;
-    group.edge->set_send(
-        [raw](const Bytes& m) { raw->wire.emplace_back(false, m); });
-    group.op->set_send(
-        [raw](const Bytes& m) { raw->wire.emplace_back(true, m); });
-  }
-
-  if (threads <= 1 && interleave_) {
-    // Lockstep waves: cycle k of every group runs concurrently through
-    // a shared pump, one message per visited group per round, visiting
-    // order chosen by the hook — cross-session reordering with
-    // per-session FIFO intact.
-    std::size_t max_cycles = 0;
-    for (const UeGroup& ue_group : ue_groups) {
-      max_cycles = std::max(max_cycles, ue_group.item_indices.size());
-    }
-    for (std::size_t cycle = 0; cycle < max_cycles; ++cycle) {
-      std::vector<std::size_t> active;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        Group& group = groups[g];
-        const std::vector<std::size_t>& indices = ue_groups[g].item_indices;
-        if (cycle >= indices.size()) continue;
-        if (begin_group_cycle(group, items[indices[cycle]])) {
-          active.push_back(g);
-        } else {
-          poison(group, "cycle could not start");
-          receipts[indices[cycle]].failure_reason = group.poison_reason;
-        }
-      }
-      for (;;) {
-        std::vector<std::size_t> pending;
-        for (std::size_t g : active) {
-          if (!groups[g].wire.empty() && !groups[g].poisoned) {
-            pending.push_back(g);
-          }
-        }
-        if (pending.empty()) break;
-        interleave_(pending);
-        for (std::size_t g : pending) {
-          if (!groups[g].wire.empty() && !groups[g].poisoned) {
-            deliver_one(groups[g]);
-          }
-        }
-      }
-      for (std::size_t g : active) {
-        finish_group_cycle(groups[g],
-                           receipts[ue_groups[g].item_indices[cycle]]);
-      }
-    }
-    return receipts;
-  }
-
-  run_groups(ue_groups, threads, [&](const UeGroup& ue_group, std::size_t g) {
-    run_group(groups[g], ue_group, items, receipts);
+  run_groups(ue_groups, threads, [&](const UeGroup& ue_group, std::size_t) {
+    run_group(config_, keys_, ue_group, items, receipts);
   });
   return receipts;
 }

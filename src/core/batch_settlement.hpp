@@ -14,9 +14,7 @@
 //
 // Distinct UEs share no mutable state, so `settle()` can fan UE groups
 // out over worker threads — receipts are bit-identical for every thread
-// count, and (single-threaded) the cross-session message pump can be
-// reordered arbitrarily between sessions without changing any receipt.
-// The grouping and the worker fan-out (`group_by_ue`, `run_groups`)
+// count. The grouping and the worker fan-out (`group_by_ue`, `run_groups`)
 // are the one scaffold every settler runs on, the transport settlers
 // included.
 #pragma once
@@ -75,6 +73,20 @@ enum class SettleOutcome : std::uint8_t {
 };
 
 [[nodiscard]] const char* settle_outcome_name(SettleOutcome outcome);
+
+/// Outcome census of a set of receipts: one counter per SettleOutcome.
+struct SettlementCounters {
+  std::uint64_t converged = 0;
+  std::uint64_t retried = 0;
+  std::uint64_t degraded = 0;
+  std::uint64_t rejected_tamper = 0;
+
+  void count(SettleOutcome outcome);
+  [[nodiscard]] std::uint64_t total() const {
+    return converged + retried + degraded + rejected_tamper;
+  }
+  [[nodiscard]] bool operator==(const SettlementCounters&) const = default;
+};
 
 struct SettlementReceipt {
   std::uint64_t ue_id = 0;
@@ -142,30 +154,19 @@ void run_groups(
 /// poisons its UE: the UE's remaining cycles are left incomplete.
 class BatchSettler {
  public:
-  /// Test hook: permutes which session delivers its next pending
-  /// message first during the single-threaded pump. Receives the
-  /// currently-pending UE group order; per-session FIFO is preserved
-  /// regardless of the permutation.
-  using InterleaveFn = std::function<void(std::vector<std::size_t>& order)>;
-
   /// `keys` must outlive the settler.
   BatchSettler(BatchConfig config, const RsaKeyCache& keys);
-
-  void set_interleave(InterleaveFn interleave) {
-    interleave_ = std::move(interleave);
-  }
 
   /// Settles every item. `threads` > 1 distributes UE groups over that
   /// many workers via run_groups (each group stays sequential
   /// internally). Receipts come back in input order and are identical
-  /// for every thread count and every cross-session interleaving.
+  /// for every thread count.
   [[nodiscard]] std::vector<SettlementReceipt> settle(
       const std::vector<SettlementItem>& items, unsigned threads = 1) const;
 
  private:
   BatchConfig config_;
   const RsaKeyCache& keys_;
-  InterleaveFn interleave_;
 };
 
 }  // namespace tlc::core

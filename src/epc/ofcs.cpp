@@ -15,14 +15,16 @@ namespace {
 // diverge from the live ledger.
 constexpr std::uint8_t kOpIngest = 1;
 constexpr std::uint8_t kOpClose = 2;
-constexpr std::uint8_t kOpSettle = 3;
 
 // Version 2 extends the CDR codec with the §13 audit fields
 // (uncharged volumes + anomaly flags); journals and snapshots written
 // by version 1 are no longer readable, which is fine — supervisor state
 // directories never outlive a binary in this repo.
 // v3: bill amounts moved from f64 currency units to u64 micro-units.
-constexpr std::uint8_t kSnapshotVersion = 3;
+// v4: the settlement census, its journal op (tag 3) and its (ue, cycle)
+// idempotence set are gone — the receipts are the record of how each
+// cycle settled.
+constexpr std::uint8_t kSnapshotVersion = 4;
 
 // tlclint: codec(ofcs_cdr_full, encode, version=kSnapshotVersion)
 void write_cdr(ByteWriter& w, const ChargingDataRecord& cdr) {
@@ -114,17 +116,6 @@ Bytes encode_close_op(Imsi imsi, const BillLine& line) {
   w.u8(kOpClose);
   w.u64(imsi.value);
   write_line(w, line);
-  return w.take();
-}
-
-// tlclint: codec(ofcs_op_settle, encode, version=kSnapshotVersion)
-Bytes encode_settle_op(std::uint64_t ue_id, std::uint32_t cycle_index,
-                       SettlementOutcome outcome) {
-  ByteWriter w;
-  w.u8(kOpSettle);
-  w.u64(ue_id);
-  w.u32(cycle_index);
-  w.u8(static_cast<std::uint8_t>(outcome));
   return w.take();
 }
 
@@ -233,57 +224,6 @@ std::vector<std::pair<Imsi, BillLine>> Ofcs::close_cycle_all(
   return lines;
 }
 
-void Ofcs::record_settlement(std::uint32_t cycle_index,
-                             SettlementOutcome outcome, std::uint64_t ue_id) {
-  if (log_ != nullptr) {
-    if (settled_.contains(SettleKey{ue_id, cycle_index})) {
-      ++duplicate_ops_dropped_;
-      return;
-    }
-    if (!journal_op(encode_settle_op(ue_id, cycle_index, outcome))) return;
-  }
-  apply_settlement(ue_id, cycle_index, outcome);
-}
-
-void Ofcs::apply_settlement(std::uint64_t ue_id, std::uint32_t cycle_index,
-                            SettlementOutcome outcome) {
-  if (log_ != nullptr) settled_.insert(SettleKey{ue_id, cycle_index});
-  if (settlement_by_cycle_.size() <= cycle_index) {
-    settlement_by_cycle_.resize(cycle_index + 1);
-  }
-  SettlementCounters& counters = settlement_by_cycle_[cycle_index];
-  switch (outcome) {
-    case SettlementOutcome::Converged:
-      ++counters.converged;
-      break;
-    case SettlementOutcome::Retried:
-      ++counters.retried;
-      break;
-    case SettlementOutcome::Degraded:
-      ++counters.degraded;
-      break;
-    case SettlementOutcome::RejectedTamper:
-      ++counters.rejected_tamper;
-      break;
-  }
-}
-
-SettlementCounters Ofcs::settlement_counters(std::uint32_t cycle_index) const {
-  if (cycle_index >= settlement_by_cycle_.size()) return {};
-  return settlement_by_cycle_[cycle_index];
-}
-
-SettlementCounters Ofcs::settlement_totals() const {
-  SettlementCounters sum;
-  for (const SettlementCounters& counters : settlement_by_cycle_) {
-    sum.converged += counters.converged;
-    sum.retried += counters.retried;
-    sum.degraded += counters.degraded;
-    sum.rejected_tamper += counters.rejected_tamper;
-  }
-  return sum;
-}
-
 Ofcs::FleetTotals Ofcs::totals() const {
   FleetTotals totals;
   totals.subscribers = subscribers_.size();
@@ -298,7 +238,6 @@ Ofcs::FleetTotals Ofcs::totals() const {
     totals.uncharged_bytes += state.uncharged_bytes;
     if (state.anomaly_flags != 0) ++totals.flagged_subscribers;
   }
-  totals.settlement = settlement_totals();
   return totals;
 }
 
@@ -401,21 +340,6 @@ Status Ofcs::apply_journal_op(const Bytes& op) {
       apply_close(Imsi{*imsi}, *line);
       return Status::Ok();
     }
-    case kOpSettle: {
-      auto ue_id = r.u64();
-      auto cycle = r.u32();
-      auto outcome = r.u8();
-      if (!ue_id || !cycle || !outcome) {
-        return Err("ofcs: truncated settle op");
-      }
-      if (settled_.contains(SettleKey{*ue_id, *cycle})) {
-        ++duplicate_ops_dropped_;
-        return Status::Ok();
-      }
-      apply_settlement(*ue_id, *cycle,
-                       static_cast<SettlementOutcome>(*outcome));
-      return Status::Ok();
-    }
     default:
       return Err("ofcs: unknown journal op tag");
   }
@@ -443,23 +367,11 @@ Bytes Ofcs::serialize_state() const {
     w.u64(state.uncharged_bytes);
     w.u32(state.anomaly_flags);
   }
-  w.u32(static_cast<std::uint32_t>(settlement_by_cycle_.size()));
-  for (const SettlementCounters& counters : settlement_by_cycle_) {
-    w.u64(counters.converged);
-    w.u64(counters.retried);
-    w.u64(counters.degraded);
-    w.u64(counters.rejected_tamper);
-  }
   w.u32(static_cast<std::uint32_t>(seen_cdrs_.size()));
   for (const auto& [imsi, charging_id, sequence] : seen_cdrs_) {
     w.u64(imsi);
     w.u16(charging_id);
     w.u32(sequence);
-  }
-  w.u32(static_cast<std::uint32_t>(settled_.size()));
-  for (const auto& [ue_id, cycle] : settled_) {
-    w.u64(ue_id);
-    w.u32(cycle);
   }
   return w.take();
 }
@@ -468,9 +380,7 @@ Bytes Ofcs::serialize_state() const {
 Status Ofcs::restore_state(const Bytes& snapshot) {
   subscribers_.clear();
   ingested_ = 0;
-  settlement_by_cycle_.clear();
   seen_cdrs_.clear();
-  settled_.clear();
 
   ByteReader r(snapshot);
   auto version = r.u8();
@@ -523,20 +433,6 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
     state.uncharged_bytes = *uncharged;
     state.anomaly_flags = *anomaly_flags;
   }
-  auto cycle_count = r.u32();
-  if (!cycle_count) return Err("ofcs snapshot: truncated");
-  settlement_by_cycle_.resize(*cycle_count);
-  for (std::uint32_t i = 0; i < *cycle_count; ++i) {
-    auto converged = r.u64();
-    auto retried = r.u64();
-    auto degraded = r.u64();
-    auto rejected = r.u64();
-    if (!converged || !retried || !degraded || !rejected) {
-      return Err("ofcs snapshot: truncated");
-    }
-    settlement_by_cycle_[i] = SettlementCounters{*converged, *retried,
-                                                 *degraded, *rejected};
-  }
   auto seen_count = r.u32();
   if (!seen_count) return Err("ofcs snapshot: truncated");
   for (std::uint32_t i = 0; i < *seen_count; ++i) {
@@ -547,14 +443,6 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
       return Err("ofcs snapshot: truncated");
     }
     seen_cdrs_.insert(CdrKey{*imsi, *charging_id, *sequence});
-  }
-  auto settled_count = r.u32();
-  if (!settled_count) return Err("ofcs snapshot: truncated");
-  for (std::uint32_t i = 0; i < *settled_count; ++i) {
-    auto ue_id = r.u64();
-    auto cycle = r.u32();
-    if (!ue_id || !cycle) return Err("ofcs snapshot: truncated");
-    settled_.insert(SettleKey{*ue_id, *cycle});
   }
   if (!r.exhausted()) return Err("ofcs snapshot: trailing bytes");
   return Status::Ok();

@@ -25,30 +25,6 @@
 
 namespace tlc::epc {
 
-/// How one (subscriber, cycle) TLC settlement ended, as seen by the
-/// operator's charging backend (§8 outcome taxonomy; mirrors
-/// core::SettleOutcome without depending on the core library — the EPC
-/// layer deliberately cannot see the protocol stack).
-enum class SettlementOutcome : std::uint8_t {
-  Converged,
-  Retried,
-  Degraded,
-  RejectedTamper,
-};
-
-/// Per-cycle settlement outcome census.
-struct SettlementCounters {
-  std::uint64_t converged = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t rejected_tamper = 0;
-
-  [[nodiscard]] std::uint64_t total() const {
-    return converged + retried + degraded + rejected_tamper;
-  }
-  [[nodiscard]] bool operator==(const SettlementCounters&) const = default;
-};
-
 /// One rated charging cycle for a subscriber.
 struct BillLine {
   std::uint32_t cycle_index = 0;
@@ -114,31 +90,12 @@ class Ofcs {
   /// Subscribers with state, ascending IMSI order.
   [[nodiscard]] std::vector<Imsi> subscribers() const;
 
-  /// Records how cycle `cycle_index` settled for one subscriber (the
-  /// fleet engine calls this once per settlement receipt). `ue_id`
-  /// identifies the subscriber's device; with recovery attached it
-  /// forms the idempotence key (ue, cycle) — re-recording after a
-  /// crash is a no-op, so no settled cycle is counted twice.
-  void record_settlement(std::uint32_t cycle_index, SettlementOutcome outcome,
-                         std::uint64_t ue_id = 0);
-
-  /// Outcome census of one cycle (zero counters past the last recorded
-  /// cycle) and the all-cycle aggregate.
-  [[nodiscard]] SettlementCounters settlement_counters(
-      std::uint32_t cycle_index) const;
-  [[nodiscard]] SettlementCounters settlement_totals() const;
-  [[nodiscard]] std::size_t settlement_cycles() const {
-    return settlement_by_cycle_.size();
-  }
-
   /// Fleet-level rollup across every subscriber's rated cycles.
   struct FleetTotals {
     std::size_t subscribers = 0;
     std::size_t throttled = 0;  // currently speed-limited
     std::uint64_t billed_bytes = 0;
     std::uint64_t amount_micro = 0;
-    /// Settlement outcome census across all recorded cycles.
-    SettlementCounters settlement;
     /// §13 audit rollup: bytes that escaped charging (free-class +
     /// zero-rated, from CDR uncharged fields) and subscribers with at
     /// least one anomaly flag raised.
@@ -166,9 +123,10 @@ class Ofcs {
   // With a StateLog attached the ledger follows write-ahead discipline:
   // every mutation is journaled before it is applied, each op carries
   // an idempotent record ID ((imsi, charging_id, seq) for CDRs,
-  // (imsi, cycle) for closes, (ue, cycle) for settlements), and replay
-  // of any op suffix over any snapshot converges on the same state —
-  // no byte billed twice, no settled cycle lost. Without one, nothing
+  // (imsi, cycle) for closes), and replay of any op suffix over any
+  // snapshot converges on the same state — no byte billed twice. How
+  // each cycle settled is not ledger state: the settlement receipts
+  // record it, and the charge hook reads them. Without a log, nothing
   // below runs and the legacy behaviour is bit-identical to before.
 
   /// Attaches `log` and recovers: restores the last checkpoint (if
@@ -209,14 +167,11 @@ class Ofcs {
 
   /// Keys: see the recovery comment above.
   using CdrKey = std::tuple<std::uint64_t, std::uint16_t, std::uint32_t>;
-  using SettleKey = std::pair<std::uint64_t, std::uint32_t>;
 
   void apply_ingest(const ChargingDataRecord& cdr);
   /// Applies a fully-rated line to the subscriber (no recomputation —
   /// replay must reproduce the exact stored doubles).
   void apply_close(Imsi imsi, const BillLine& line);
-  void apply_settlement(std::uint64_t ue_id, std::uint32_t cycle_index,
-                        SettlementOutcome outcome);
   [[nodiscard]] Status apply_journal_op(const Bytes& op);
   /// Journals `op`; on I/O failure records recovery_error_ and returns
   /// false (caller must then skip the apply).
@@ -226,15 +181,13 @@ class Ofcs {
   ChargeHook hook_;
   std::unordered_map<Imsi, State> subscribers_;
   std::uint64_t ingested_ = 0;
-  std::vector<SettlementCounters> settlement_by_cycle_;
 
   recovery::StateLog* log_ = nullptr;
   Status recovery_error_ = Status::Ok();
   std::uint64_t duplicate_ops_dropped_ = 0;
-  /// Idempotence sets (maintained only while a StateLog is attached;
+  /// Idempotence set (maintained only while a StateLog is attached;
   /// std::set so snapshots serialise deterministically).
   std::set<CdrKey> seen_cdrs_;
-  std::set<SettleKey> settled_;
 };
 
 }  // namespace tlc::epc

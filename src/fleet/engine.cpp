@@ -19,20 +19,6 @@
 namespace tlc::fleet {
 namespace {
 
-epc::SettlementOutcome to_epc_outcome(core::SettleOutcome outcome) {
-  switch (outcome) {
-    case core::SettleOutcome::Converged:
-      return epc::SettlementOutcome::Converged;
-    case core::SettleOutcome::Retried:
-      return epc::SettlementOutcome::Retried;
-    case core::SettleOutcome::Degraded:
-      return epc::SettlementOutcome::Degraded;
-    case core::SettleOutcome::RejectedTamper:
-      return epc::SettlementOutcome::RejectedTamper;
-  }
-  return epc::SettlementOutcome::Degraded;
-}
-
 // Fleet-level seed streams (disjoint from per-shard streams, which are
 // derived as stream_seed(seed, shard_index) and so live in the small
 // integers).
@@ -218,10 +204,7 @@ transport::LossyBatchReport settle_batch(
     return settler.settle(items, 1);
   }
   if (plan != nullptr) {
-    std::uint64_t last_ue = ~0ULL;
     for (const core::SettlementItem& item : items) {
-      if (item.ue_id == last_ue) continue;
-      last_ue = item.ue_id;
       plan->fire(recovery::kCrashSettleCycle, item.ue_id);
     }
   }
@@ -251,12 +234,17 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
     }
   }
 
-  // Feed the settlement outcome census (§8) into the charging backend:
-  // receipts are in (ue_index, cycle) input order, so the counters are
-  // thread-independent by construction.
+  // Settlement outcome census (§8): a tally of the receipts, so it is
+  // a pure function of them — identical on every driver and after any
+  // recovery.
+  result.settlement_by_cycle.clear();
+  result.settlement_totals = {};
   for (const core::SettlementReceipt& receipt : result.receipts) {
-    ofcs.record_settlement(receipt.cycle, to_epc_outcome(receipt.outcome),
-                           receipt.ue_id);
+    if (result.settlement_by_cycle.size() <= receipt.cycle) {
+      result.settlement_by_cycle.resize(receipt.cycle + 1);
+    }
+    result.settlement_by_cycle[receipt.cycle].count(receipt.outcome);
+    result.settlement_totals.count(receipt.outcome);
   }
 
   std::unordered_map<std::uint64_t, std::uint64_t> ue_by_imsi;
@@ -344,13 +332,6 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
   result.ingest_batches =
       streaming != nullptr ? streaming->batches() : std::vector<charging::BatchPoc>{};
   result.totals = ofcs.totals();
-  result.settlement_totals = ofcs.settlement_totals();
-  result.settlement_by_cycle.clear();
-  result.settlement_by_cycle.reserve(ofcs.settlement_cycles());
-  for (std::size_t cycle = 0; cycle < ofcs.settlement_cycles(); ++cycle) {
-    result.settlement_by_cycle.push_back(
-        ofcs.settlement_counters(static_cast<std::uint32_t>(cycle)));
-  }
 }
 
 void compute_digests(FleetResult& result) {

@@ -42,13 +42,14 @@ struct FleetResult {
   std::vector<std::vector<std::pair<epc::Imsi, epc::BillLine>>> bills;
   epc::Ofcs::FleetTotals totals;
 
-  /// Settlement outcome census (§8): per-cycle and aggregate, counted
-  /// by the OFCS from the receipts. Retried and RejectedTamper need
-  /// faults from config.lossy_transport; Degraded does not, because a
-  /// negotiation that fails degrades its cycle on a lossless run too
-  /// (sim_heavy at seed 1: 30 of 2048).
-  std::vector<epc::SettlementCounters> settlement_by_cycle;
-  epc::SettlementCounters settlement_totals;
+  /// Settlement outcome census (§8): per-cycle and aggregate tallies
+  /// of `receipts`; the per-cycle series is empty when there are none.
+  /// Retried and RejectedTamper need faults from
+  /// config.lossy_transport; Degraded does not, because a negotiation
+  /// that fails degrades its cycle on a lossless run too (sim_heavy at
+  /// seed 1: 30 of 2048).
+  std::vector<core::SettlementCounters> settlement_by_cycle;
+  core::SettlementCounters settlement_totals;
 
   /// Coded-transport census (§17), summed over shards in merge order.
   /// All-zero unless config.lossy_transport is on and

@@ -70,23 +70,23 @@ void collect_gap_samples(const std::vector<UeRecord>& records,
 /// core::BatchSettler. `plan` (nullable) is wired into the transport
 /// settlers, which fire the settle-cycle point per (UE, cycle); the
 /// in-process settler has no crash hook, so here the point fires once
-/// per UE group before it settles. `coded` is all-zero off the coded
-/// path.
+/// per item before any settles — the same (point, scope, hit) schedule
+/// on every path. `coded` is all-zero off the coded path.
 [[nodiscard]] transport::LossyBatchReport settle_batch(
     const FleetConfig& config, const core::BatchConfig& batch,
     const core::RsaKeyCache& keys,
     const std::vector<core::SettlementItem>& items,
     recovery::CrashPlan* plan);
 
-/// OFCS aggregation: feeds the settlement census, installs the TLC
-/// charge hook over `result.receipts`, ingests the synthetic gateway
-/// CDRs and closes every cycle; fills bills/totals/settlement fields
-/// of `result` (records/gap_samples/receipts must already be there).
-/// `ofcs` is caller-constructed — the supervisor attaches its recovery
-/// log first — and `after_cycle` (nullable) runs after each cycle
-/// closes, which is where checkpoints go. Idempotent against a
-/// recovered `ofcs`: re-ingested CDRs, re-closed cycles and
-/// re-recorded settlements all dedupe.
+/// OFCS aggregation: tallies the settlement census from
+/// `result.receipts`, installs the TLC charge hook over them, ingests
+/// the synthetic gateway CDRs and closes every cycle; fills
+/// bills/totals/settlement fields of `result` (records/gap_samples/
+/// receipts must already be there). `ofcs` is caller-constructed — the
+/// supervisor attaches its recovery log first — and `after_cycle`
+/// (nullable) runs after each cycle closes, which is where checkpoints
+/// go. Idempotent against a recovered `ofcs`: re-ingested CDRs and
+/// re-closed cycles dedupe.
 void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
                      FleetResult& result,
                      const std::function<void(int cycle)>& after_cycle);

@@ -75,7 +75,7 @@ struct SupervisionStats {
   /// instead of re-negotiated.
   std::size_t settle_checkpoints_reused = 0;
   /// Journaled OFCS ops dropped by record-ID dedupe (each one is a
-  /// would-be double bill or double-counted settlement).
+  /// would-be double-ingested CDR or double-billed cycle).
   std::uint64_t duplicate_ops_dropped = 0;
 };
 

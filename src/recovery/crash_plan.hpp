@@ -60,7 +60,9 @@ inline constexpr const char* kCrashCheckpointPostRename =
 inline constexpr const char* kCrashShardRun = "shard-run";
 /// Shard wedge marker: the watchdog deadline fires instead of a crash.
 inline constexpr const char* kCrashShardWedge = "shard-wedge";
-/// At a settlement cycle boundary inside the runner (mid-negotiation).
+/// Once per (UE, cycle) settlement: at the cycle boundary inside the
+/// transport settlers (mid-negotiation), and per item before the
+/// in-process settler runs on the lossless path.
 inline constexpr const char* kCrashSettleCycle = "settle-cycle";
 /// A shard's settlement computed, its settle checkpoint not yet written.
 inline constexpr const char* kCrashSettleChunkPre = "settle-chunk-pre";

@@ -31,8 +31,9 @@ namespace tlc::transport {
 
 /// Receipts, in input order, plus the coded-path census (§17; all-zero
 /// from LossySettler itself and whenever TransportConfig::coding is
-/// off). The per-outcome census is the OFCS's, counted from the
-/// receipts (Ofcs::record_settlement).
+/// off). The per-outcome census is a tally of the receipts
+/// (core::SettlementCounters, filled into FleetResult by the fleet's
+/// aggregation).
 struct LossyBatchReport {
   std::vector<core::SettlementReceipt> receipts;
   CodedCounters coded;

@@ -63,6 +63,7 @@ void expect_identical(const FleetResult& got, const FleetResult& want,
   EXPECT_EQ(got.totals.amount_micro, want.totals.amount_micro) << label;
   EXPECT_EQ(got.totals.subscribers, want.totals.subscribers) << label;
   EXPECT_EQ(got.settlement_totals, want.settlement_totals) << label;
+  EXPECT_EQ(got.settlement_by_cycle, want.settlement_by_cycle) << label;
   EXPECT_TRUE(got.coded_totals == want.coded_totals) << label;
   ASSERT_EQ(got.bills.size(), want.bills.size()) << label;
   for (std::size_t cycle = 0; cycle < want.bills.size(); ++cycle) {
@@ -220,14 +221,18 @@ TEST_F(SupervisorCrashDeterminismTest, KillAtEverySupervisorPointConverges) {
   // Deterministic (non-seeded) sweep over the supervisor-level crash
   // points, one kill each, checking recovery machinery actually engaged
   // — on every settle path, each against its own crash-free reference.
+  // settle-cycle fires once per (UE, cycle) on every path, so hit 1 is
+  // UE 3's second cycle everywhere.
   struct Case {
     const char* point;
     std::uint64_t scope;
+    std::uint64_t hit = 0;
   };
   const Case cases[] = {
       {recovery::kCrashShardRun, 1},
       {recovery::kCrashShardWedge, 2},
       {recovery::kCrashSettleCycle, 3},
+      {recovery::kCrashSettleCycle, 3, 1},
       {recovery::kCrashSettleChunkPre, 0},
       {recovery::kCrashSettleChunkPost, 0},
       {recovery::kCrashJournalAppendPost, 0},
@@ -246,9 +251,10 @@ TEST_F(SupervisorCrashDeterminismTest, KillAtEverySupervisorPointConverges) {
   std::uint64_t tag = 200;
   for (const Path& path : paths) {
     for (const Case& c : cases) {
-      const std::string label = std::string(path.name) + " " + c.point;
+      const std::string label = std::string(path.name) + " " + c.point +
+                                " hit " + std::to_string(c.hit);
       recovery::CrashPlan plan;
-      plan.arm({c.point, c.scope, 0, recovery::CrashKind::Kill});
+      plan.arm({c.point, c.scope, c.hit, recovery::CrashKind::Kill});
       SupervisorConfig config;
       config.fleet = path.fleet;
       config.state_dir = state_dir_for("point", tag++);

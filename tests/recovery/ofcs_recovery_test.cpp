@@ -1,6 +1,6 @@
 // OFCS crash recovery: the ledger under a write-ahead StateLog must
 // come back byte-identical after a process death at ANY instrumented
-// boundary — no byte billed twice, no settled cycle lost.
+// boundary — no byte billed twice, no rated cycle lost.
 //
 // The driver below re-executes the whole billing workload from scratch
 // in each incarnation (exactly what the fleet supervisor does); the
@@ -16,6 +16,7 @@
 #include "epc/ofcs.hpp"
 #include "recovery/crash_plan.hpp"
 #include "recovery/state_log.hpp"
+#include "util/serde.hpp"
 
 namespace tlc::epc {
 namespace {
@@ -45,8 +46,8 @@ constexpr int kCycles = 3;
 
 /// The billing workload: deterministic, idempotently re-executable.
 /// Each cycle ingests per-UE CDRs (unique (imsi, charging_id, seq)
-/// IDs), closes the cycle by index for both UEs, records settlements
-/// keyed by (ue, cycle), and checkpoints after cycle 1.
+/// IDs), closes the cycle by index for both UEs, and checkpoints after
+/// cycle 1.
 void drive(Ofcs& ofcs, bool with_checkpoint = true) {
   ofcs.set_charge_hook([](Imsi, std::uint32_t cycle,
                           std::uint64_t gateway_volume) {
@@ -58,8 +59,6 @@ void drive(Ofcs& ofcs, bool with_checkpoint = true) {
     ofcs.ingest(make_cdr(kUeB, 1, cycle, 0, 2500 * (cycle + 1)));
     (void)ofcs.close_cycle(kUeA, cycle);
     (void)ofcs.close_cycle(kUeB, cycle);
-    ofcs.record_settlement(cycle, SettlementOutcome::Converged, /*ue=*/1);
-    ofcs.record_settlement(cycle, SettlementOutcome::Retried, /*ue=*/2);
     if (cycle == 1 && with_checkpoint) {
       ASSERT_TRUE(ofcs.checkpoint().ok());
     }
@@ -132,7 +131,6 @@ TEST(OfcsRecoveryTest, SerializeRestoreRoundTripIsExact) {
   EXPECT_EQ(restored.serialize_state(), state);
   EXPECT_EQ(restored.totals().billed_bytes, ofcs.totals().billed_bytes);
   EXPECT_EQ(restored.totals().amount_micro, ofcs.totals().amount_micro);
-  EXPECT_EQ(restored.settlement_totals(), ofcs.settlement_totals());
 }
 
 TEST(OfcsRecoveryTest, RestoreRejectsDamage) {
@@ -142,6 +140,57 @@ TEST(OfcsRecoveryTest, RestoreRejectsDamage) {
   state.resize(state.size() - 3);
   Ofcs target(test_plan());
   EXPECT_FALSE(target.restore_state(state).ok());
+}
+
+TEST(OfcsRecoveryTest, AttachRefusesLegacySettleOp) {
+  // Journals written before the settlement census left the ledger can
+  // hold tag-3 (settle) ops; recovery must refuse them, not skip them.
+  const std::string dir = ::testing::TempDir();
+  wipe(dir, "ofcs_settle_op");
+  {
+    auto log = recovery::StateLog::open(dir, "ofcs_settle_op");
+    ASSERT_TRUE(log.has_value()) << log.error();
+    ByteWriter op;
+    op.u8(3);   // the retired settle tag
+    op.u64(1);  // ue
+    op.u32(0);  // cycle
+    op.u8(0);   // outcome
+    ASSERT_TRUE(log->append(op.take()).ok());
+  }
+  auto log = recovery::StateLog::open(dir, "ofcs_settle_op");
+  ASSERT_TRUE(log.has_value()) << log.error();
+  Ofcs ofcs(test_plan());
+  const Status attached = ofcs.attach_recovery(&*log);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_EQ(attached.error(), "ofcs: unknown journal op tag");
+  wipe(dir, "ofcs_settle_op");
+}
+
+TEST(OfcsRecoveryTest, AttachRefusesVersion3Snapshot) {
+  // An empty ledger in the version-3 layout: header, no subscribers,
+  // then the since-removed census and settled-set sections (both empty)
+  // around the CDR idempotence set.
+  ByteWriter v3;
+  v3.u8(3);   // version
+  v3.u64(0);  // cdrs ingested
+  v3.u32(0);  // subscribers
+  v3.u32(0);  // settlement census cycles
+  v3.u32(0);  // seen CDR keys
+  v3.u32(0);  // settled (ue, cycle) keys
+  const std::string dir = ::testing::TempDir();
+  wipe(dir, "ofcs_v3");
+  {
+    auto log = recovery::StateLog::open(dir, "ofcs_v3");
+    ASSERT_TRUE(log.has_value()) << log.error();
+    ASSERT_TRUE(log->checkpoint(v3.take()).ok());
+  }
+  auto log = recovery::StateLog::open(dir, "ofcs_v3");
+  ASSERT_TRUE(log.has_value()) << log.error();
+  Ofcs ofcs(test_plan());
+  const Status attached = ofcs.attach_recovery(&*log);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_EQ(attached.error(), "ofcs snapshot: unsupported version");
+  wipe(dir, "ofcs_v3");
 }
 
 TEST(OfcsRecoveryTest, CrashAtEveryInstrumentedPointConverges) {
@@ -207,7 +256,6 @@ TEST(OfcsRecoveryTest, DetachedLegacyBehaviourUnchanged) {
   drive(journaled);
   EXPECT_EQ(plain.totals().billed_bytes, journaled.totals().billed_bytes);
   EXPECT_EQ(plain.totals().amount_micro, journaled.totals().amount_micro);
-  EXPECT_EQ(plain.settlement_totals(), journaled.settlement_totals());
   const BillLine* line = nullptr;
   const SubscriberBilling* billing = plain.billing(kUeA);
   ASSERT_NE(billing, nullptr);
