@@ -12,9 +12,13 @@
 //                      (the pre-coalescing workload shape)
 //   arrivals_batched   one self-rescheduling drain event per frame,
 //                      consuming the frame's packets chunk by chunk
+//   enodeb_sched_<N>   one eNodeB cell of N UEs with outages (η = 0.2),
+//                      its downlink offered 1.3x capacity: the scheduler
+//                      picks past queued traffic of out-of-coverage UEs
 //
 // Each case reports median-of-3 events/sec (packets/sec for the arrival
-// cases, so the two shapes are directly comparable).
+// cases, so the two shapes are directly comparable; packets served, one
+// scheduler pick each, for the eNodeB cases).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -23,6 +27,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "epc/enodeb.hpp"
+#include "sim/radio.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -149,8 +155,92 @@ double bench_arrivals_batched(std::uint64_t packets) {
   return seconds_since(start);
 }
 
+class NullUe final : public epc::RrcEndpoint {
+ public:
+  [[nodiscard]] std::uint64_t modem_tx_bytes() const override { return 0; }
+  [[nodiscard]] std::uint64_t modem_rx_bytes() const override { return 0; }
+  void modem_deliver(const sim::Packet& packet) override {
+    g_sink += packet.id;
+  }
+};
+
+// One UE flow: a fixed-size packet every `period` until `until`.
+struct Flow {
+  sim::Simulator* sim;
+  epc::EnodeB* enodeb;
+  epc::Imsi imsi;
+  SimTime period;
+  SimTime until;
+  sim::Packet packet;
+  void fire() {
+    ++packet.id;
+    packet.created_at = sim->now();
+    if (packet.direction == sim::Direction::Downlink) {
+      enodeb->downlink_submit(imsi, packet);
+    } else {
+      enodeb->uplink_submit(imsi, packet);
+    }
+    if (sim->now() + period < until) {
+      sim->schedule_after(period, [this] { fire(); });
+    }
+  }
+};
+
+// Each UE gets a QCI 9 downlink bulk flow (together 1.3x the cell's
+// downlink capacity), a QCI 7 gaming flow each way and a QCI 9 uplink
+// flow. Returns the wall time; `picks` is the number of packets served.
+double bench_enodeb_sched(std::uint64_t ues, SimTime duration,
+                          std::uint64_t seed, std::uint64_t& picks) {
+  sim::Simulator sim;
+  const epc::EnodebParams params;
+  epc::EnodeB enodeb(sim, params, Rng(seed));
+  std::vector<sim::RadioChannel> radios;
+  std::vector<NullUe> devices(ues);
+  std::vector<Flow> flows;
+  radios.reserve(ues);
+  flows.reserve(4 * ues);
+  const auto bulk_period = static_cast<SimTime>(
+      static_cast<double>(ues) * 1200.0 * 8.0 /
+      (1.3 * params.dl_capacity_bps) * static_cast<double>(kSecond));
+  for (std::uint64_t i = 0; i < ues; ++i) {
+    sim::RadioParams rp;
+    rp.mean_rss_dbm = -95.0;
+    rp.disconnect_ratio = 0.2;
+    radios.emplace_back(rp, Rng(seed * 1000 + i));
+    const epc::Imsi imsi{i + 1};
+    enodeb.add_ue(imsi, &devices[i], &radios.back());
+    auto add_flow = [&](SimTime period, std::uint32_t bytes,
+                        sim::Direction dir, sim::Qci qci) {
+      sim::Packet packet;
+      packet.id = ((i + 1) << 40) | (flows.size() << 32);
+      packet.size_bytes = bytes;
+      packet.direction = dir;
+      packet.qci = qci;
+      flows.push_back(Flow{&sim, &enodeb, imsi, period, duration, packet});
+    };
+    add_flow(bulk_period, 1200, sim::Direction::Downlink, sim::Qci::kQci9);
+    add_flow(20 * kMillisecond, 120, sim::Direction::Downlink,
+             sim::Qci::kQci7);
+    add_flow(20 * kMillisecond, 120, sim::Direction::Uplink, sim::Qci::kQci7);
+    add_flow(5 * kMillisecond, 600, sim::Direction::Uplink, sim::Qci::kQci9);
+  }
+  const auto start = Clock::now();
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    Flow* flow = &flows[f];
+    sim.schedule_at(static_cast<SimTime>(f) * 37 * kMicrosecond,
+                    [flow] { flow->fire(); });
+  }
+  sim.run();
+  const double wall = seconds_since(start);
+  const auto& stats = enodeb.stats();
+  picks = stats.dl_delivered + stats.dl_air_drops + stats.ul_delivered +
+          stats.ul_air_drops;
+  return wall;
+}
+
+// `events` is read after the samples run, so a case may count its own.
 template <typename Fn>
-Row sample(const std::string& name, std::uint64_t events, Fn&& body) {
+Row sample(const std::string& name, const std::uint64_t& events, Fn&& body) {
   std::vector<double> walls;
   for (int i = 0; i < kSamples; ++i) {
     walls.push_back(body());
@@ -207,6 +297,13 @@ int run(const BenchOptions& options) {
   rows.push_back(sample("arrivals_batched", n, [&] {
     return bench_arrivals_batched(n);
   }));
+  const SimTime cell_time = (options.full ? 180 : 60) * kSecond;
+  for (const std::uint64_t ues : {8u, 64u}) {
+    std::uint64_t picks = 0;
+    rows.push_back(sample("enodeb_sched_" + std::to_string(ues), picks, [&] {
+      return bench_enodeb_sched(ues, cell_time, options.seed, picks);
+    }));
+  }
 
   std::printf("\n(sink=%llu)\n", static_cast<unsigned long long>(g_sink));
   if (!options.json_path.empty()) {

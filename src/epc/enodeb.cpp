@@ -1,6 +1,7 @@
 #include "epc/enodeb.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hpp"
 
@@ -39,41 +40,44 @@ void EnodeB::add_ue(Imsi imsi, RrcEndpoint* endpoint,
   ue.last_activity = sim_.now();
 }
 
-void EnodeB::flush_ue(QueueSet& set, Imsi imsi,
+void EnodeB::Fifo::pop_front() {
+  ++head_;
+  if (head_ == items_.size()) {
+    clear();
+  } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+    // Reclaim the served prefix once it is half the buffer.
+    items_.erase(items_.begin(),
+                 items_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void EnodeB::Fifo::erase(std::size_t i) {
+  items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(head_ + i));
+}
+
+void EnodeB::flush_ue(QueueSet& set, UeCtx& ue,
                       std::uint64_t& flush_counter) {
   for (std::size_t q = 0; q < kQueues; ++q) {
-    auto& queue = set.queues[q];
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (it->imsi == imsi) {
-        set.bytes[q] -= std::min<std::uint64_t>(set.bytes[q],
-                                                it->packet.size_bytes);
-        it = queue.erase(it);
-        ++flush_counter;
-      } else {
-        ++it;
-      }
+    Fifo& fifo = ue.fifos[set.side][q];
+    if (fifo.empty()) continue;
+    for (std::size_t i = 0; i < fifo.size(); ++i) {
+      set.bytes[q] -= fifo[i].packet.size_bytes;
     }
+    flush_counter += fifo.size();
+    fifo.clear();
+    auto& heads = set.heads[q];
+    heads.erase(std::find_if(heads.begin(), heads.end(),
+                             [&ue](const HeadRef& h) { return h.ue == &ue; }));
   }
 }
 
 void EnodeB::remove_ue(Imsi imsi) {
   auto it = ues_.find(imsi);
   if (it == ues_.end()) return;
-  flush_ue(dl_, imsi, stats_.dl_flushed);
-  std::uint64_t ul_flushed = 0;
-  flush_ue(ul_, imsi, ul_flushed);
-  stats_.ul_queue_drops += ul_flushed;
+  flush_ue(dl_, it->second, stats_.dl_flushed);
+  flush_ue(ul_, it->second, stats_.ul_queue_drops);
   ues_.erase(it);
-}
-
-std::uint64_t EnodeB::dl_backlog(Imsi imsi) const {
-  std::uint64_t total = 0;
-  for (const auto& queue : dl_.queues) {
-    for (const QueuedPacket& entry : queue) {
-      if (entry.imsi == imsi) total += entry.packet.size_bytes;
-    }
-  }
-  return total;
 }
 
 void EnodeB::touch_rrc(Imsi imsi, UeCtx& ue) {
@@ -190,12 +194,17 @@ bool EnodeB::consume_rate_tokens(UeCtx& ue, std::uint32_t size_bytes) {
   return true;
 }
 
-bool EnodeB::enqueue(QueueSet& set, std::size_t q, Imsi imsi,
+bool EnodeB::enqueue(QueueSet& set, Imsi imsi, UeCtx& ue,
                      const sim::Packet& packet) {
+  const std::size_t q = queue_index(packet.qci);
   if (set.bytes[q] + packet.size_bytes > params_.queue_limit_bytes) {
     return false;
   }
-  set.queues[q].push_back(QueuedPacket{imsi, packet});
+  Fifo& fifo = ue.fifos[set.side][q];
+  const std::uint64_t seq = set.next_seq++;
+  // A UE whose FIFO was empty now holds the youngest head of the queue.
+  if (fifo.empty()) set.heads[q].push_back(HeadRef{seq, imsi, &ue});
+  fifo.push_back(QueuedPacket{seq, packet});
   set.bytes[q] += packet.size_bytes;
   return true;
 }
@@ -205,8 +214,7 @@ void EnodeB::downlink_submit(Imsi imsi, const sim::Packet& packet) {
   if (it == ues_.end()) {
     return;  // no context (detached): dies here, uncharged downstream
   }
-  const std::size_t q = queue_index(packet.qci);
-  if (!enqueue(dl_, q, imsi, packet)) {
+  if (!enqueue(dl_, imsi, it->second, packet)) {
     ++stats_.dl_queue_drops;
     return;
   }
@@ -217,30 +225,70 @@ void EnodeB::uplink_submit(Imsi imsi, const sim::Packet& packet) {
   auto it = ues_.find(imsi);
   if (it == ues_.end()) return;
   touch_rrc(imsi, it->second);
-  const std::size_t q = queue_index(packet.qci);
-  if (!enqueue(ul_, q, imsi, packet)) {
+  if (!enqueue(ul_, imsi, it->second, packet)) {
     ++stats_.ul_queue_drops;
     return;
   }
   if (!ul_serving_) serve_ul();
 }
 
-bool EnodeB::pick(QueueSet& set, std::size_t& out_queue,
-                  std::size_t& out_pos) {
+bool EnodeB::pick(const QueueSet& set, Choice& out) {
   const SimTime now = sim_.now();
   for (std::size_t q = 0; q < kQueues; ++q) {
-    const auto& queue = set.queues[q];
-    for (std::size_t pos = 0; pos < queue.size(); ++pos) {
-      auto it = ues_.find(queue[pos].imsi);
-      if (it != ues_.end() && it->second.radio->connected(now) &&
-          rate_tokens_available(it->second, queue[pos].packet.size_bytes)) {
-        out_queue = q;
-        out_pos = pos;
-        return true;
+    const auto& heads = set.heads[q];
+    // Walk the UEs oldest head first while one could still hold a packet
+    // older than the best found. An unthrottled connected UE's head always
+    // fits and ends the walk; a throttled UE may be served a later packet
+    // that fits its bucket ahead of its head.
+    constexpr auto kNone = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t best = kNone;
+    for (std::size_t i = 0; i < heads.size() && heads[i].seq < best; ++i) {
+      const UeCtx& ue = *heads[i].ue;
+      if (!ue.radio->connected(now)) continue;
+      const Fifo& fifo = ue.fifos[set.side][q];
+      for (std::size_t pos = 0; pos < fifo.size() && fifo[pos].seq < best;
+           ++pos) {
+        if (rate_tokens_available(ue, fifo[pos].packet.size_bytes)) {
+          best = fifo[pos].seq;
+          out = Choice{q, i, pos};
+          break;
+        }
       }
     }
+    if (best != kNone) return true;
   }
   return false;
+}
+
+void EnodeB::pop_head(QueueSet& set, std::size_t q, std::size_t index) {
+  auto& heads = set.heads[q];
+  const auto from = heads.begin() + static_cast<std::ptrdiff_t>(index);
+  Fifo& fifo = from->ue->fifos[set.side][q];
+  fifo.pop_front();
+  if (fifo.empty()) {
+    heads.erase(from);
+    return;
+  }
+  // The UE's next packet is younger than its old head: move it back.
+  const std::uint64_t seq = fifo[0].seq;
+  const auto to = std::partition_point(
+      from + 1, heads.end(), [seq](const HeadRef& h) { return h.seq < seq; });
+  std::rotate(from, from + 1, to);
+  (to - 1)->seq = seq;
+}
+
+EnodeB::Served EnodeB::take(QueueSet& set, const Choice& choice) {
+  const HeadRef ref = set.heads[choice.queue][choice.index];
+  Fifo& fifo = ref.ue->fifos[set.side][choice.queue];
+  const Served served{ref.imsi, fifo[choice.pos].packet};
+  set.bytes[choice.queue] -= served.packet.size_bytes;
+  if (choice.pos == 0) {
+    pop_head(set, choice.queue, choice.index);
+  } else {
+    fifo.erase(choice.pos);
+  }
+  consume_rate_tokens(*ref.ue, served.packet.size_bytes);
+  return served;
 }
 
 void EnodeB::serve_dl() {
@@ -248,29 +296,28 @@ void EnodeB::serve_dl() {
   // (typically buffered through an outage) are dropped, not delivered.
   if (params_.pdb_discard_factor > 0.0) {
     for (std::size_t q = 0; q < kQueues; ++q) {
-      auto& queue = dl_.queues[q];
-      while (!queue.empty()) {
-        const sim::Packet& head = queue.front().packet;
+      auto& heads = dl_.heads[q];
+      while (!heads.empty()) {
+        const sim::Packet& head =
+            heads.front().ue->fifos[kDownlink][q][0].packet;
         const auto budget = static_cast<SimTime>(
             params_.pdb_discard_factor *
             static_cast<double>(sim::qci_delay_budget(head.qci)));
         if (sim_.now() - head.created_at <= budget) break;
-        dl_.bytes[q] -=
-            std::min<std::uint64_t>(dl_.bytes[q], head.size_bytes);
-        queue.pop_front();
+        dl_.bytes[q] -= head.size_bytes;
+        pop_head(dl_, q, 0);
         ++stats_.dl_pdb_drops;
       }
     }
   }
 
-  std::size_t q = 0;
-  std::size_t pos = 0;
-  if (!pick(dl_, q, pos)) {
+  Choice choice;
+  if (!pick(dl_, choice)) {
     dl_serving_ = false;
     // Traffic may be waiting for a UE out of coverage: poll again while
     // any DL queue is non-empty.
     bool pending = false;
-    for (const auto& queue : dl_.queues) pending = pending || !queue.empty();
+    for (const auto& heads : dl_.heads) pending = pending || !heads.empty();
     if (pending && !dl_retry_armed_) {
       dl_retry_armed_ = true;
       sim_.schedule_after(params_.blocked_retry, [this] {
@@ -282,11 +329,7 @@ void EnodeB::serve_dl() {
   }
 
   dl_serving_ = true;
-  const QueuedPacket entry = dl_.queues[q][pos];
-  dl_.queues[q].erase(dl_.queues[q].begin() + static_cast<std::ptrdiff_t>(pos));
-  dl_.bytes[q] -= std::min<std::uint64_t>(dl_.bytes[q],
-                                          entry.packet.size_bytes);
-  consume_rate_tokens(ues_[entry.imsi], entry.packet.size_bytes);
+  const Served entry = take(dl_, choice);
 
   const double tx_seconds = static_cast<double>(entry.packet.size_bytes) *
                             8.0 / params_.dl_capacity_bps;
@@ -309,12 +352,11 @@ void EnodeB::serve_dl() {
 }
 
 void EnodeB::serve_ul() {
-  std::size_t q = 0;
-  std::size_t pos = 0;
-  if (!pick(ul_, q, pos)) {
+  Choice choice;
+  if (!pick(ul_, choice)) {
     ul_serving_ = false;
     bool pending = false;
-    for (const auto& queue : ul_.queues) pending = pending || !queue.empty();
+    for (const auto& heads : ul_.heads) pending = pending || !heads.empty();
     if (pending && !ul_retry_armed_) {
       ul_retry_armed_ = true;
       sim_.schedule_after(params_.blocked_retry, [this] {
@@ -326,11 +368,7 @@ void EnodeB::serve_ul() {
   }
 
   ul_serving_ = true;
-  const QueuedPacket entry = ul_.queues[q][pos];
-  ul_.queues[q].erase(ul_.queues[q].begin() + static_cast<std::ptrdiff_t>(pos));
-  ul_.bytes[q] -= std::min<std::uint64_t>(ul_.bytes[q],
-                                          entry.packet.size_bytes);
-  consume_rate_tokens(ues_[entry.imsi], entry.packet.size_bytes);
+  const Served entry = take(ul_, choice);
 
   const double tx_seconds = static_cast<double>(entry.packet.size_bytes) *
                             8.0 / params_.ul_capacity_bps;

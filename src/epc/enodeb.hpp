@@ -1,11 +1,15 @@
 // Small-cell eNodeB.
 //
 // Implements the pieces of the base station the charging gap depends on:
-//  * a strict-priority air scheduler over shared per-QCI drop-tail
-//    queues (QCI 3 > 7 > 9, per TS 23.203). Flows inside one QCI share
-//    a FIFO, so iperf background traffic on QCI 9 congests the cell and
-//    same-class app traffic loses proportionally — the Fig 3/13 effect —
-//    while QCI 7 gaming stays clean (Fig 12d);
+//  * a strict-priority air scheduler over per-QCI drop-tail queues (QCI
+//    3 > 7 > 9, per TS 23.203). Each QCI of each direction is one
+//    logical FIFO shared by every flow in the class, so iperf background
+//    traffic on QCI 9 congests the cell and same-class app traffic loses
+//    proportionally — the Fig 3/13 effect — while QCI 7 gaming stays
+//    clean (Fig 12d). The FIFO is stored per UE, each packet tagged with
+//    its enqueue sequence number, and an index of the UEs with queued
+//    traffic, ordered by their oldest packet, recovers the shared order.
+//    The byte total and drop-tail limit stay per QCI;
 //  * per-packet air loss from the UE's radio channel (BLER from RSS,
 //    forced loss during outages). Downlink air loss happens *after* the
 //    SPGW charged the packet — the core over-charging mechanism;
@@ -22,9 +26,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "epc/ids.hpp"
 #include "epc/rrc.hpp"
@@ -138,13 +142,40 @@ class EnodeB {
     return ues_.find(imsi) != ues_.end();
   }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Bytes currently queued for one UE on the downlink (all QCIs).
-  [[nodiscard]] std::uint64_t dl_backlog(Imsi imsi) const;
 
  private:
   // QCI 3 / 7 / 9 -> queue index 0 / 1 / 2.
   static constexpr std::size_t kQueues = 3;
   [[nodiscard]] static std::size_t queue_index(sim::Qci qci);
+
+  struct QueuedPacket {
+    std::uint64_t seq;  // enqueue order within the packet's QCI queue
+    sim::Packet packet;
+  };
+
+  /// One UE's packets of one QCI in one direction, oldest first. An empty
+  /// FIFO owns no memory; a drained one keeps its capacity for reuse.
+  class Fifo {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+    [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+    [[nodiscard]] const QueuedPacket& operator[](std::size_t i) const {
+      return items_[head_ + i];
+    }
+    void push_back(const QueuedPacket& entry) { items_.push_back(entry); }
+    void pop_front();
+    void erase(std::size_t i);
+    void clear() {
+      items_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<QueuedPacket> items_;
+    std::size_t head_ = 0;
+  };
+
+  enum Side : std::size_t { kDownlink = 0, kUplink = 1 };
 
   struct UeCtx {
     RrcEndpoint* endpoint = nullptr;
@@ -155,6 +186,8 @@ class EnodeB {
     double rate_limit_bps = 0.0;
     double tokens_bytes = 0.0;
     SimTime tokens_updated = 0;
+    // Queued traffic, by side and QCI queue index.
+    std::array<std::array<Fifo, kQueues>, 2> fifos;
   };
 
   /// Token-bucket admission for a throttled UE; consumes on success.
@@ -162,13 +195,31 @@ class EnodeB {
   [[nodiscard]] bool rate_tokens_available(const UeCtx& ue,
                                            std::uint32_t size_bytes) const;
 
-  struct QueuedPacket {
+  /// A UE with queued traffic in one QCI queue, keyed by the sequence
+  /// number of its oldest packet there.
+  struct HeadRef {
+    std::uint64_t seq;
     Imsi imsi;
-    sim::Packet packet;
+    UeCtx* ue;
   };
   struct QueueSet {
-    std::array<std::deque<QueuedPacket>, kQueues> queues;
+    explicit QueueSet(Side s) : side(s) {}
+    Side side;
+    /// Per QCI: the UEs with queued packets, in increasing head seq, so
+    /// heads.front() holds the oldest packet of the logical QCI FIFO.
+    std::array<std::vector<HeadRef>, kQueues> heads;
     std::array<std::uint64_t, kQueues> bytes{};
+    std::uint64_t next_seq = 0;
+  };
+  /// A packet chosen by pick(): queue, index into heads, FIFO position.
+  struct Choice {
+    std::size_t queue = 0;
+    std::size_t index = 0;
+    std::size_t pos = 0;
+  };
+  struct Served {
+    Imsi imsi;
+    sim::Packet packet;
   };
 
   void touch_rrc(Imsi imsi, UeCtx& ue);
@@ -176,13 +227,19 @@ class EnodeB {
   void release_rrc(Imsi imsi, UeCtx& ue);
   void do_counter_check(Imsi imsi);
 
-  bool enqueue(QueueSet& set, std::size_t q, Imsi imsi,
+  bool enqueue(QueueSet& set, Imsi imsi, UeCtx& ue,
                const sim::Packet& packet);
-  /// Finds the first servable packet by strict priority, skipping
-  /// entries whose UE is out of coverage (they stay queued). Returns
+  /// Finds the earliest-enqueued servable packet by strict priority,
+  /// skipping UEs out of coverage (their packets stay queued) and, for a
+  /// throttled UE, packets its token bucket cannot cover yet. Returns
   /// false when nothing can be served now.
-  bool pick(QueueSet& set, std::size_t& out_queue, std::size_t& out_pos);
-  void flush_ue(QueueSet& set, Imsi imsi, std::uint64_t& flush_counter);
+  bool pick(const QueueSet& set, Choice& out);
+  /// Removes the chosen packet and charges its UE's token bucket.
+  Served take(QueueSet& set, const Choice& choice);
+  /// Pops the head of heads[q][index]'s FIFO and restores head order.
+  static void pop_head(QueueSet& set, std::size_t q, std::size_t index);
+  static void flush_ue(QueueSet& set, UeCtx& ue,
+                       std::uint64_t& flush_counter);
 
   void serve_dl();
   void serve_ul();
@@ -191,8 +248,8 @@ class EnodeB {
   EnodebParams params_;
   Rng rng_;
   std::map<Imsi, UeCtx> ues_;
-  QueueSet dl_;
-  QueueSet ul_;
+  QueueSet dl_{kDownlink};
+  QueueSet ul_{kUplink};
   UplinkSinkFn uplink_sink_;
   CounterCheckFn counter_check_;
   Stats stats_;

@@ -18,6 +18,11 @@
 
 namespace tlc::fleet {
 
+/// Every bypass kind once, in enum order: AdversaryMix's default list.
+/// Built out of line: GCC 12 at -O3 reports a false
+/// -Wmaybe-uninitialized on an inlined initializer-list vector here.
+[[nodiscard]] std::vector<workloads::AdversaryKind> all_adversary_kinds();
+
 /// Byzantine population spec (DESIGN.md §13). Whether a UE is an
 /// adversary — and which bypass it runs — is drawn from a dedicated
 /// per-member seed stream, so a zero fraction leaves every other draw
@@ -27,12 +32,7 @@ struct AdversaryMix {
   /// Fraction of UEs carrying a bypass overlay in [0, 1].
   double fraction = 0.0;
   /// Kinds drawn uniformly per adversarial UE (repeat to weight).
-  std::vector<workloads::AdversaryKind> kinds = {
-      workloads::AdversaryKind::kIcmpTunnel,
-      workloads::AdversaryKind::kDnsTunnel,
-      workloads::AdversaryKind::kZeroRatedAbuse,
-      workloads::AdversaryKind::kFreeRider,
-      workloads::AdversaryKind::kVolumeShaper};
+  std::vector<workloads::AdversaryKind> kinds = all_adversary_kinds();
   /// Forwarded to SpgwParams: charge uplink flows to their bound owner
   /// (turns free-riding into a charge on the victim).
   bool flow_based_charging = false;

@@ -52,6 +52,13 @@ epc::SpgwParams gateway_params(const FleetConfig& config) {
 
 }  // namespace
 
+std::vector<workloads::AdversaryKind> all_adversary_kinds() {
+  using workloads::AdversaryKind;
+  return {AdversaryKind::kIcmpTunnel, AdversaryKind::kDnsTunnel,
+          AdversaryKind::kZeroRatedAbuse, AdversaryKind::kFreeRider,
+          AdversaryKind::kVolumeShaper};
+}
+
 epc::Imsi FleetShard::fleet_imsi(std::uint64_t ue_index) {
   return epc::Imsi{kFleetImsiBase + ue_index};
 }

@@ -18,8 +18,9 @@ namespace tlc::sim {
 class EventFn {
  public:
   /// Largest capture stored inline. Chosen to cover every closure in the
-  /// tree (max today: [this, QueuedPacket] and [this, Packet, context]
-  /// at 48 bytes) while keeping sizeof(EventFn) at one cache line.
+  /// tree (max today: the eNodeB's [this, Served{Imsi, Packet}] and
+  /// [this, Packet, context] at 48 bytes) while keeping sizeof(EventFn)
+  /// at one cache line.
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 

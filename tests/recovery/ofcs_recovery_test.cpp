@@ -72,9 +72,9 @@ void wipe(const std::string& dir, const std::string& stem) {
 }
 
 /// Runs the workload crash-free with recovery attached; the state every
-/// crashed run must converge to.
-Bytes reference_state(const std::string& dir) {
-  const std::string stem = "ofcs_ref";
+/// crashed run must converge to. Each test passes its own `stem`: ctest
+/// runs the tests of this file in parallel in one temp directory.
+Bytes reference_state(const std::string& dir, const std::string& stem) {
   wipe(dir, stem);
   auto log = recovery::StateLog::open(dir, stem);
   EXPECT_TRUE(log.has_value());
@@ -195,7 +195,7 @@ TEST(OfcsRecoveryTest, AttachRefusesVersion3Snapshot) {
 
 TEST(OfcsRecoveryTest, CrashAtEveryInstrumentedPointConverges) {
   const std::string dir = ::testing::TempDir();
-  const Bytes reference = reference_state(dir);
+  const Bytes reference = reference_state(dir, "ofcs_ref_crash");
   ASSERT_FALSE(reference.empty());
 
   const std::vector<const char*> points = {
@@ -218,7 +218,7 @@ TEST(OfcsRecoveryTest, CrashAtEveryInstrumentedPointConverges) {
 
 TEST(OfcsRecoveryTest, MultiCrashSchedulesConverge) {
   const std::string dir = ::testing::TempDir();
-  const Bytes reference = reference_state(dir);
+  const Bytes reference = reference_state(dir, "ofcs_ref_multi");
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     recovery::CrashPlan plan;
     plan.arm_seeded(seed, /*crashes=*/3, /*scopes=*/1, /*max_hit=*/6);
@@ -232,7 +232,7 @@ TEST(OfcsRecoveryTest, PostRenameWindowDropsDuplicates) {
   // every op in the journal is already folded into the snapshot, so
   // the replay must drop all of them as duplicates.
   const std::string dir = ::testing::TempDir();
-  const Bytes reference = reference_state(dir);
+  const Bytes reference = reference_state(dir, "ofcs_ref_postrename");
   recovery::CrashPlan plan;
   plan.arm({recovery::kCrashCheckpointPostRename, 0, 0,
             recovery::CrashKind::Kill});
